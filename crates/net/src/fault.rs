@@ -1,7 +1,7 @@
 //! Deterministic fault-injection plans (§7.2 availability experiments).
 //!
 //! A [`FaultPlan`] is a seeded, time-ordered schedule of [`FaultEvent`]s
-//! executed *inside* the simulation clock: the [`crate::Network`] applies
+//! executed *inside* the simulation clock: every [`crate::Fabric`] applies
 //! every event whose timestamp has been reached before forwarding the
 //! next packet, so an identical seed and plan reproduce the exact same
 //! drop sequence bit for bit. Test code never pokes link state mid-run —
@@ -93,7 +93,7 @@ impl FaultEvent {
 /// A seeded, time-ordered fault schedule.
 ///
 /// Build with the chained helpers, then hand to
-/// [`crate::Network::install_fault_plan`]. Events with equal timestamps
+/// [`crate::Fabric::install_fault_plan`]. Events with equal timestamps
 /// apply in insertion order (stable sort), so a plan is a pure function
 /// of its construction sequence and seed.
 #[derive(Debug, Clone)]

@@ -28,13 +28,6 @@ pub fn packet_fabric(topo_cfg: ClosConfig, net_cfg: NetworkConfig, rng: &SimRng)
     Network::new(ClosTopology::build(topo_cfg), net_cfg, rng.fork("net"))
 }
 
-/// Packet-level [`Network`] over `topo_cfg` with default link
-/// parameters — the setup line all of `workloads/` and the transport
-/// tests share.
-pub fn packet_fabric_default(topo_cfg: ClosConfig, rng: &SimRng) -> Network {
-    packet_fabric(topo_cfg, NetworkConfig::default(), rng)
-}
-
 /// Flow-level [`FluidFabric`] over `topo_cfg`, forking the same
 /// `"net"` stream (the fluid model draws from it only for loss
 /// injection, mirroring the packet model's draw structure).
@@ -61,6 +54,7 @@ pub fn hybrid_fabric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fabric;
     use stellar_sim::SimTime;
 
     /// The fixture is sugar, not behaviour: it must produce a network
@@ -75,7 +69,7 @@ mod tests {
             aggs_per_plane: 4,
         };
         let rng = SimRng::from_seed(17);
-        let mut a = packet_fabric_default(cfg.clone(), &rng);
+        let mut a = packet_fabric(cfg.clone(), NetworkConfig::default(), &rng);
         let mut b = Network::new(
             ClosTopology::build(cfg),
             NetworkConfig::default(),

@@ -28,10 +28,15 @@
 //! handles itself — escalating on it would collapse every saturating
 //! collective onto the packet path and forfeit the scale win.
 //!
-//! Fault plans and manual link mutations are mirrored into both models
-//! so either one can be the carrier at any moment; ledgers and stats
-//! are the field-wise sum of the two.
+//! Both carriers — the packet model's port calendars and the fluid
+//! model's flow table — share one topology, one [`NetworkConfig`] and
+//! one link-fault state, so a fault plan or manual link mutation applies
+//! once and either carrier sees it at the next send. Each carrier keeps
+//! its own conservation ledger (and invariant checks); the fabric-wide
+//! ledgers and link stats are the field-wise sum of the two. One trace
+//! records every send in send order.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use stellar_sim::{SimDuration, SimRng, SimTime};
@@ -39,8 +44,9 @@ use stellar_telemetry::{count, Subsystem};
 
 use crate::fabric::{uplink_imbalance_from, Fabric, FabricKind};
 use crate::fault::FaultPlan;
-use crate::fluid::{FluidConfig, FluidFabric};
-use crate::network::{Delivery, DropReason, LinkStats, Network, NetworkConfig, TraceRecord};
+use crate::fluid::{FlowTable, FluidConfig};
+use crate::links::{Ledger, Links, Trace};
+use crate::network::{Delivery, DropReason, LinkStats, NetworkConfig, Ports, TraceRecord};
 use crate::topology::{ClosTopology, LinkId, NicId};
 
 /// Escalation knobs for the hybrid classifier.
@@ -77,8 +83,14 @@ struct FlowMeta {
 /// escalation rules.
 #[derive(Debug)]
 pub struct HybridFabric {
-    packet: Network,
-    fluid: FluidFabric,
+    links: Links,
+    ports: Ports,
+    flows: FlowTable,
+    packet_rng: SimRng,
+    fluid_rng: SimRng,
+    packet_ledger: Ledger,
+    fluid_ledger: Ledger,
+    trace: Trace,
     hybrid: HybridConfig,
     /// Active-flow metadata in deterministic key order.
     meta: BTreeMap<(u32, u32, u64), FlowMeta>,
@@ -91,7 +103,7 @@ pub struct HybridFabric {
 }
 
 impl HybridFabric {
-    /// A hybrid fabric over `topo`. The packet and fluid halves get
+    /// A hybrid fabric over `topo`. The packet and fluid carriers get
     /// independent RNG streams forked from `rng` (labels `"packet"` and
     /// `"fluid"`), so loss draws on one path never perturb the other.
     pub fn new(
@@ -100,11 +112,15 @@ impl HybridFabric {
         hybrid: HybridConfig,
         rng: SimRng,
     ) -> Self {
-        let packet = Network::new(topo.clone(), config.clone(), rng.fork("packet"));
-        let fluid = FluidFabric::new(topo, config, hybrid.fluid.clone(), rng.fork("fluid"));
         HybridFabric {
-            packet,
-            fluid,
+            ports: Ports::new(&topo),
+            flows: FlowTable::new(&topo, &config, hybrid.fluid.clone()),
+            links: Links::new(topo, config),
+            packet_rng: rng.fork("packet"),
+            fluid_rng: rng.fork("fluid"),
+            packet_ledger: Ledger::default(),
+            fluid_ledger: Ledger::default(),
+            trace: Trace::default(),
             hybrid,
             meta: BTreeMap::new(),
             dst_flows: BTreeMap::new(),
@@ -121,61 +137,31 @@ impl HybridFabric {
         (self.packet_sends, self.fluid_sends, self.escalations)
     }
 
-    /// The packet half (e.g. for packet-side queue inspection).
-    pub fn packet(&self) -> &Network {
-        &self.packet
+    /// The fluid carrier's flow table.
+    pub fn fluid(&self) -> &FlowTable {
+        &self.flows
     }
 
-    /// The fluid half.
-    pub fn fluid(&self) -> &FluidFabric {
-        &self.fluid
-    }
-
+    /// Shed idle flows' escalation marks and incast accounting, scanning
+    /// at most once per half timeout.
     fn expire_meta(&mut self, now: SimTime) {
         if now < self.next_expiry_scan || self.meta.is_empty() {
             return;
         }
-        self.next_expiry_scan = now
-            + SimDuration::from_nanos((self.hybrid.flow_idle_timeout.as_nanos() / 2).max(1));
         let timeout = self.hybrid.flow_idle_timeout;
-        let dead: Vec<(u32, u32, u64)> = self
-            .meta
-            .iter()
-            .filter(|(_, m)| now.saturating_duration_since(m.last_active) >= timeout)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in dead {
-            self.meta.remove(&k);
-            let left = {
-                let c = self.dst_flows.get_mut(&k.1).expect("dst counted at registration");
+        self.next_expiry_scan = now + SimDuration::from_nanos((timeout.as_nanos() / 2).max(1));
+        let dst_flows = &mut self.dst_flows;
+        self.meta.retain(|&(_, dst, _), m| {
+            let live = now.saturating_duration_since(m.last_active) < timeout;
+            if !live {
+                let c = dst_flows.get_mut(&dst).expect("dst counted at registration");
                 *c -= 1;
-                *c
-            };
-            if left == 0 {
-                self.dst_flows.remove(&k.1);
+                if *c == 0 {
+                    dst_flows.remove(&dst);
+                }
             }
-        }
-    }
-
-    /// Whether this send must take the packet path. Checks the cheap
-    /// per-flow state first, then the route's fault and queue state on
-    /// the packet side.
-    fn contested(&self, now: SimTime, dst: NicId, route: &[LinkId], escalated: bool) -> bool {
-        if escalated {
-            return true;
-        }
-        if self.dst_flows.get(&dst.0).copied().unwrap_or(0) as usize
-            >= self.hybrid.incast_threshold
-        {
-            return true;
-        }
-        let ecn_threshold = self.packet.config().ecn_threshold_bytes;
-        route.iter().any(|&l| {
-            !self.packet.link_up(l)
-                || self.packet.link_loss(l) > 0.0
-                || self.packet.degraded_loss_at(l, now) > 0.0
-                || self.packet.backlog_bytes(l, now) > ecn_threshold
-        })
+            live
+        });
     }
 }
 
@@ -185,17 +171,15 @@ impl Fabric for HybridFabric {
     }
 
     fn topology(&self) -> &ClosTopology {
-        Network::topology(&self.packet)
+        &self.links.topo
     }
 
     fn config(&self) -> &NetworkConfig {
-        Network::config(&self.packet)
+        &self.links.config
     }
 
     fn config_mut(&mut self) -> &mut NetworkConfig {
-        // Keep both halves in sync: the packet half is authoritative,
-        // the fluid half is overwritten from it on the next advance.
-        Network::config_mut(&mut self.packet)
+        &mut self.links.config
     }
 
     fn send(
@@ -208,144 +192,131 @@ impl Fabric for HybridFabric {
         bytes: u64,
     ) -> Delivery {
         self.advance(now);
-        let key = (src.0, dst.0, flow);
-        let known = self.meta.contains_key(&key);
-        if !known {
-            self.meta.insert(
-                key,
-                FlowMeta {
+        let route = self.links.topo.route(src, dst, flow, path_id);
+        // Escalate when the flow already is (stickiness), when its
+        // destination is an incast port, or when the route crosses a link
+        // that is down, lossy, degrading, or queued past the ECN
+        // threshold on the packet side. Cheap per-flow checks first.
+        let m = match self.meta.entry((src.0, dst.0, flow)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                *self.dst_flows.entry(dst.0).or_insert(0) += 1;
+                e.insert(FlowMeta {
                     last_active: now,
                     escalated: false,
-                },
-            );
-            *self.dst_flows.entry(dst.0).or_insert(0) += 1;
-        }
-        let escalated = self.meta[&key].escalated;
-        let route = self.packet.topology().route(src, dst, flow, path_id);
-        let contested = self.contested(now, dst, &route, escalated);
-        {
-            let m = self.meta.get_mut(&key).expect("flow registered above");
-            m.last_active = now;
-            if contested && !m.escalated {
-                m.escalated = true;
-                self.escalations += 1;
-                count(Subsystem::Net, "fabric.hybrid.escalation", 1);
+                })
             }
+        };
+        let config = &self.links.config;
+        let contested = m.escalated
+            || self.dst_flows.get(&dst.0).copied().unwrap_or(0) as usize
+                >= self.hybrid.incast_threshold
+            || route.iter().any(|&l| {
+                self.links.faulty(l, now)
+                    || self.ports.backlog_bytes(l, now, config.link_gbps)
+                        > config.ecn_threshold_bytes
+            });
+        m.last_active = now;
+        if contested && !m.escalated {
+            m.escalated = true;
+            self.escalations += 1;
+            count(Subsystem::Net, "fabric.hybrid.escalation", 1);
         }
-        if contested {
+
+        let route = self.links.reroute(now, route, src, dst, flow, path_id);
+        let key = (src, dst, flow);
+        let delivery = if contested {
             self.packet_sends += 1;
             count(Subsystem::Net, "fabric.hybrid.packet_send", 1);
-            self.packet.send(now, src, dst, flow, path_id, bytes)
+            let d = self.ports.forward(&self.links, &mut self.packet_rng, now, &route, bytes);
+            self.packet_ledger.record(bytes, d);
+            d
         } else {
             self.fluid_sends += 1;
             count(Subsystem::Net, "fabric.hybrid.fluid_send", 1);
-            self.fluid.send(now, src, dst, flow, path_id, bytes)
-        }
+            let d = self.flows.send(&self.links, &mut self.fluid_rng, now, &route, key, bytes);
+            self.fluid_ledger.record(bytes, d);
+            d
+        };
+        self.trace.record(now, key, path_id, bytes, delivery);
+        delivery
     }
 
     fn advance(&mut self, now: SimTime) {
-        // The fluid half's NetworkConfig may have drifted behind a
-        // config_mut() tweak on the packet half; re-sync cheaply.
-        if self.fluid.config().link_gbps != self.packet.config().link_gbps
-            || self.fluid.config().bgp_convergence != self.packet.config().bgp_convergence
-            || self.fluid.config().ecn_threshold_bytes != self.packet.config().ecn_threshold_bytes
-            || self.fluid.config().buffer_bytes != self.packet.config().buffer_bytes
-            || self.fluid.config().hop_delay != self.packet.config().hop_delay
-        {
-            *self.fluid.config_mut() = self.packet.config().clone();
-        }
-        self.packet.apply_faults(now);
-        self.fluid.advance(now);
+        self.flows.advance(&mut self.links, now);
         self.expire_meta(now);
     }
 
     fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.packet.install_fault_plan(plan.clone());
-        self.fluid.install_fault_plan(plan);
+        self.links.install(plan);
     }
 
     fn pending_fault_events(&self) -> usize {
-        self.packet.pending_fault_events()
-    }
-
-    fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.packet.set_link_up(link, up);
-        Fabric::set_link_up(&mut self.fluid, link, up);
+        self.links.pending()
     }
 
     fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
-        self.packet.set_link_state_at(now, link, up);
-        Fabric::set_link_state_at(&mut self.fluid, now, link, up);
+        self.links.set_link_state_at(now, link, up);
+        self.flows.mark_dirty();
     }
 
     fn set_loss(&mut self, link: LinkId, p: f64) {
-        self.packet.set_loss(link, p);
-        Fabric::set_loss(&mut self.fluid, link, p);
+        self.links.set_loss(link, p);
     }
 
     fn control_rtt_component(&self, src: NicId, dst: NicId) -> SimDuration {
-        self.packet.control_rtt_component(src, dst)
+        self.links.control_rtt(src, dst)
     }
 
     fn drops_by_reason(&self, reason: DropReason) -> u64 {
-        self.packet.drops_by_reason(reason) + Fabric::drops_by_reason(&self.fluid, reason)
+        self.packet_ledger.drops(reason) + self.fluid_ledger.drops(reason)
     }
 
     fn injected(&self) -> (u64, u64) {
-        let (pp, pb) = Network::injected(&self.packet);
-        let (fp, fb) = Fabric::injected(&self.fluid);
-        (pp + fp, pb + fb)
+        let (p, f) = (self.packet_ledger.injected, self.fluid_ledger.injected);
+        (p.0 + f.0, p.1 + f.1)
     }
 
     fn delivered(&self) -> (u64, u64) {
-        let (pp, pb) = Network::delivered(&self.packet);
-        let (fp, fb) = Fabric::delivered(&self.fluid);
-        (pp + fp, pb + fb)
+        let (p, f) = (self.packet_ledger.delivered, self.fluid_ledger.delivered);
+        (p.0 + f.0, p.1 + f.1)
     }
 
     fn link_stats(&self, link: LinkId, now: SimTime) -> LinkStats {
-        let p = Network::link_stats(&self.packet, link, now);
-        let f = Fabric::link_stats(&self.fluid, link, now);
+        // The counters add; queues exist only on the packet carrier.
+        let (p, f) = (self.ports.stats(link, now), self.flows.stats(link));
         LinkStats {
             tx_bytes: p.tx_bytes + f.tx_bytes,
             tx_packets: p.tx_packets + f.tx_packets,
             drops: p.drops + f.drops,
             ecn_marks: p.ecn_marks + f.ecn_marks,
-            max_queue_bytes: p.max_queue_bytes.max(f.max_queue_bytes),
-            avg_queue_bytes: p.avg_queue_bytes + f.avg_queue_bytes,
+            ..p
         }
     }
 
     fn tor_uplink_imbalance(&self) -> f64 {
-        let topo = Network::topology(&self.packet);
-        uplink_imbalance_from(topo, |l| {
-            Network::link_stats(&self.packet, l, SimTime::ZERO).tx_bytes
-                + Fabric::link_stats(&self.fluid, l, SimTime::ZERO).tx_bytes
+        uplink_imbalance_from(&self.links.topo, |l| {
+            self.ports.stats(l, SimTime::ZERO).tx_bytes + self.flows.stats(l).tx_bytes
         })
     }
 
     fn tor_uplink_queue_stats(&self, now: SimTime) -> (f64, u64) {
-        // Per-port queues only exist on the packet half.
-        Network::tor_uplink_queue_stats(&self.packet, now)
+        // Per-port queues only exist on the packet carrier.
+        self.ports.uplink_queue_stats(&self.links.topo, now)
     }
 
     fn enable_trace(&mut self, limit: usize) {
-        self.packet.enable_trace(limit);
-        Fabric::enable_trace(&mut self.fluid, limit);
+        self.trace.enable(limit);
     }
 
     fn take_trace(&mut self) -> Vec<TraceRecord> {
-        let mut t = Network::take_trace(&mut self.packet);
-        t.extend(Fabric::take_trace(&mut self.fluid));
-        // Merge the two halves back into injection order (stable:
-        // packet-half records first at equal timestamps).
-        t.sort_by_key(|r| r.sent);
-        t
+        self.trace.take()
     }
 
     fn check_invariants(&self, at: SimTime) {
-        self.packet.check_invariants(at);
-        Fabric::check_invariants(&self.fluid, at);
+        self.packet_ledger.check(at);
+        self.fluid_ledger.check(at);
+        self.flows.check_invariants(at);
     }
 }
 
@@ -452,5 +423,25 @@ mod tests {
             assert_eq!(ip, dp + drops);
             f.check_invariants(t(1));
         });
+    }
+
+    #[test]
+    fn one_trace_records_both_carriers_in_send_order() {
+        let mut f = fabric();
+        f.enable_trace(6);
+        let dst = f.topology().nic(0, 0);
+        // An incast (flows 3.. escalate to the packet carrier) mixed with
+        // fluid sends, at equal timestamps.
+        for h in 1..6u64 {
+            let src = f.topology().nic(h as usize, 0);
+            f.send(t(0), src, dst, h, 0, 4096);
+        }
+        let (a, b) = (f.topology().nic(6, 0), f.topology().nic(7, 0));
+        f.send(t(0), a, b, 99, 0, 4096);
+        f.send(t(0), a, b, 99, 1, 4096);
+        let (pkt, fluid, _) = f.send_split();
+        assert!(pkt > 0 && fluid > 0, "both carriers must carry traffic");
+        let flows: Vec<u64> = f.take_trace().iter().map(|r| r.flow).collect();
+        assert_eq!(flows, vec![1, 2, 3, 4, 5, 99], "one bound, send order");
     }
 }

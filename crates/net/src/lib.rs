@@ -8,7 +8,7 @@
 //!   ECMP route function that maps a `(flow, path-id)` pair to a concrete
 //!   switch sequence. The transport's *path id* is an entropy knob, exactly
 //!   like the UDP source-port entropy a real multipath RNIC injects.
-//! * [`network`] — packet-level link state and forwarding using a **link
+//! * [`network`] — packet-level forwarding using a **link
 //!   calendar** model: every egress port remembers when it next falls
 //!   idle, so a packet's queueing, ECN marking, tail-drop, and delivery
 //!   time are computed hop by hop in one pass. Because the transport layer
@@ -21,11 +21,11 @@
 //!   links, ECN-marking queues) through the packet model, everything
 //!   else through the fluid model.
 //! * [`fabric`] — the trait the transport and every workload driver are
-//!   generic over; [`fixture`] — one-line fabric constructors for tests
-//!   and workloads.
+//!   generic over; [`fixture`] — one-line fabric constructors.
 //!
-//! Per-port gauges (queue depth) and counters (bytes, drops, ECN marks)
-//! feed Figures 9–12 directly.
+//! All three share one link-fault model (the §7.2 failure semantics: fault
+//! plans, BGP-convergence reroute, per-hop loss) and one conservation
+//! ledger, defined once in the private `links` module.
 
 #![warn(missing_docs)]
 
@@ -34,6 +34,7 @@ pub mod fault;
 pub mod fixture;
 pub mod fluid;
 pub mod hybrid;
+mod links;
 pub mod network;
 pub mod topology;
 

@@ -1,4 +1,4 @@
-//! Link state and packet forwarding.
+//! Packet-level forwarding over per-port calendars.
 //!
 //! Each directed link (egress port) keeps a *calendar*: the time at which
 //! it next falls idle. Forwarding a packet across its route is a single
@@ -13,13 +13,16 @@
 //! (above the buffer size), and is recorded in a per-port [`Gauge`] for
 //! the Fig. 9 queue-depth plots. The model is exact for FIFO ports as long
 //! as packets are injected in global time order, which the transport's
-//! event loop guarantees.
+//! event loop guarantees. Link faults (dead links, BGP reroute, loss
+//! draws) come from the shared link-fault state in `links`.
 
 use stellar_sim::stats::Gauge;
 use stellar_sim::{transmit_time, SimDuration, SimRng, SimTime};
-use stellar_telemetry::{count, event, stage_sample, Entity, Stage, Subsystem};
+use stellar_telemetry::{count, stage_sample, Stage, Subsystem};
 
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::fabric::{uplink_imbalance_from, Fabric, FabricKind};
+use crate::fault::FaultPlan;
+use crate::links::{Ledger, Links, Trace};
 use crate::topology::{ClosTopology, LinkId, NicId};
 
 /// Fabric-wide link parameters.
@@ -147,46 +150,6 @@ impl Delivery {
     }
 }
 
-/// An active optical-degradation ramp on one link. Shared with the
-/// fluid fabric, which models the same time-dependent loss.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DegradeRamp {
-    pub(crate) t0: SimTime,
-    pub(crate) from: f64,
-    pub(crate) to: f64,
-    pub(crate) over: SimDuration,
-}
-
-impl DegradeRamp {
-    /// Loss probability at time `t`: linear interpolation inside the
-    /// window, clamped to the endpoints outside it.
-    pub(crate) fn loss_at(&self, t: SimTime) -> f64 {
-        if t <= self.t0 {
-            return self.from;
-        }
-        let elapsed = t.duration_since(self.t0).as_nanos();
-        let window = self.over.as_nanos();
-        if window == 0 || elapsed >= window {
-            return self.to;
-        }
-        self.from + (self.to - self.from) * (elapsed as f64 / window as f64)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct LinkState {
-    next_free: SimTime,
-    up: bool,
-    down_since: SimTime,
-    loss_prob: f64,
-    degrade: Option<DegradeRamp>,
-    queue: Gauge,
-    tx_bytes: u64,
-    tx_packets: u64,
-    drops: u64,
-    ecn_marks: u64,
-}
-
 /// Per-link statistics snapshot.
 #[derive(Debug, Clone)]
 pub struct LinkStats {
@@ -223,42 +186,28 @@ pub struct TraceRecord {
     pub delivery: Delivery,
 }
 
-/// The live fabric: topology + per-port calendars.
-#[derive(Debug)]
-pub struct Network {
-    topo: ClosTopology,
-    config: NetworkConfig,
-    links: Vec<LinkState>,
-    rng: SimRng,
-    /// Bounded packet trace; `None` = tracing off (the default).
-    trace: Option<(Vec<TraceRecord>, usize)>,
-    /// Installed fault schedule, sorted by time; `plan_cursor` is the
-    /// first not-yet-applied event.
-    plan: Vec<(SimTime, FaultEvent)>,
-    plan_cursor: usize,
-    /// Fabric-wide drop counters, indexed by [`DropReason::index`].
-    drop_counts: [u64; 4],
-    /// Conservation ledger: every packet offered to [`Network::send`].
-    injected_packets: u64,
-    injected_bytes: u64,
-    /// Conservation ledger: packets that reached their destination NIC.
-    delivered_packets: u64,
-    delivered_bytes: u64,
-    /// Bytes of the packets counted in `drop_counts`.
-    dropped_bytes: u64,
+/// One egress port: its calendar, queue gauge and transmit counters.
+#[derive(Debug, Clone)]
+struct Port {
+    next_free: SimTime,
+    queue: Gauge,
+    tx_bytes: u64,
+    tx_packets: u64,
+    drops: u64,
+    ecn_marks: u64,
 }
 
-impl Network {
-    /// A fabric over `topo` with uniform `config`, using `rng` for loss
-    /// injection.
-    pub fn new(topo: ClosTopology, config: NetworkConfig, rng: SimRng) -> Self {
-        let links = vec![
-            LinkState {
+/// Per-port calendars: the packet model's whole forwarding state. Link
+/// faults live in the shared [`Links`].
+#[derive(Debug)]
+pub(crate) struct Ports(Vec<Port>);
+
+impl Ports {
+    /// One idle port per directed link of `topo`.
+    pub(crate) fn new(topo: &ClosTopology) -> Self {
+        Ports(vec![
+            Port {
                 next_free: SimTime::ZERO,
-                up: true,
-                down_since: SimTime::ZERO,
-                loss_prob: 0.0,
-                degrade: None,
                 queue: Gauge::new(SimTime::ZERO),
                 tx_bytes: 0,
                 tx_packets: 0,
@@ -266,352 +215,43 @@ impl Network {
                 ecn_marks: 0,
             };
             topo.total_links()
-        ];
-        Network {
-            topo,
-            config,
-            links,
-            rng,
-            trace: None,
-            plan: Vec::new(),
-            plan_cursor: 0,
-            drop_counts: [0; 4],
-            injected_packets: 0,
-            injected_bytes: 0,
-            delivered_packets: 0,
-            delivered_bytes: 0,
-            dropped_bytes: 0,
-        }
+        ])
     }
 
-    /// Record every packet (up to `limit` records) for offline analysis —
-    /// the equivalent of smoltcp's `--pcap` switch. Dropping the limit
-    /// guard would make long runs balloon, so the trace is bounded and
-    /// silently stops recording when full (`take_trace` reports how many
-    /// records were kept).
-    pub fn enable_trace(&mut self, limit: usize) {
-        self.trace = Some((Vec::new(), limit));
-    }
-
-    /// Take the recorded trace, disabling tracing.
-    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
-        self.trace.take().map(|(v, _)| v).unwrap_or_default()
-    }
-
-    /// The topology.
-    pub fn topology(&self) -> &ClosTopology {
-        &self.topo
-    }
-
-    /// The link configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
-    /// The fabric configuration, mutable (tests tune knobs like
-    /// `bgp_convergence` without rebuilding the network).
-    pub fn config_mut(&mut self) -> &mut NetworkConfig {
-        &mut self.config
-    }
-
-    /// Inject random loss with probability `p` on `link` (Fig. 11).
-    pub fn set_loss(&mut self, link: LinkId, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.links[link.0 as usize].loss_prob = p;
-    }
-
-    /// Install a fault schedule. Events fire from inside the simulation
-    /// clock: every [`Network::send`] first applies all events whose
-    /// timestamp has been reached, so the drop sequence is a pure
-    /// function of `(plan, rng seed, traffic)`. Replaces any previous
-    /// plan; already-applied state is left as is.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.plan = plan.into_events();
-        self.plan_cursor = 0;
-    }
-
-    /// Events of the installed plan not yet applied.
-    pub fn pending_fault_events(&self) -> usize {
-        self.plan.len() - self.plan_cursor
-    }
-
-    /// Apply every scheduled fault event with timestamp `<= now`. Called
-    /// automatically by [`Network::send`]; public so an event loop can
-    /// advance fault state across traffic gaps (e.g. before reading
-    /// stats at an idle instant).
-    pub fn apply_faults(&mut self, now: SimTime) {
-        while let Some(&(at, ev)) = self.plan.get(self.plan_cursor) {
-            if at > now {
-                break;
-            }
-            self.plan_cursor += 1;
-            self.apply_fault_event(at, ev);
-        }
-    }
-
-    /// Apply one event at its scheduled time `at` (which may precede the
-    /// packet that triggered the catch-up — the control plane's
-    /// convergence clock starts at the true fault time).
-    fn apply_fault_event(&mut self, at: SimTime, ev: FaultEvent) {
-        count(Subsystem::Net, "fault.applied", 1);
-        event(at, Subsystem::Net, Entity::None, ev.kind(), 0);
-        match ev {
-            FaultEvent::LinkDown(l) => self.set_link_state_at(at, l, false),
-            FaultEvent::LinkUp(l) => self.set_link_state_at(at, l, true),
-            FaultEvent::SwitchDown(node) => {
-                for l in self.topo.links_of_node(node) {
-                    self.set_link_state_at(at, l, false);
-                }
-            }
-            FaultEvent::SwitchUp(node) => {
-                for l in self.topo.links_of_node(node) {
-                    self.set_link_state_at(at, l, true);
-                }
-            }
-            FaultEvent::NicPortDown { nic, plane } => {
-                let (up, down) = self.topo.nic_port_links(nic, plane as usize);
-                self.set_link_state_at(at, up, false);
-                self.set_link_state_at(at, down, false);
-            }
-            FaultEvent::NicPortUp { nic, plane } => {
-                let (up, down) = self.topo.nic_port_links(nic, plane as usize);
-                self.set_link_state_at(at, up, true);
-                self.set_link_state_at(at, down, true);
-            }
-            FaultEvent::SetLoss { link, p } => {
-                let l = &mut self.links[link.0 as usize];
-                l.loss_prob = p;
-                l.degrade = None;
-            }
-            FaultEvent::DegradeRamp { link, from, to, over } => {
-                self.links[link.0 as usize].degrade = Some(DegradeRamp {
-                    t0: at,
-                    from,
-                    to,
-                    over,
-                });
-            }
-        }
-    }
-
-    /// Whether `link` is up (no fault has taken it down).
-    pub fn link_up(&self, link: LinkId) -> bool {
-        self.links[link.0 as usize].up
-    }
-
-    /// Flat random-loss probability currently injected on `link`.
-    pub fn link_loss(&self, link: LinkId) -> f64 {
-        self.links[link.0 as usize].loss_prob
-    }
-
-    /// Effective loss probability of a degrading link at `now` (zero when
-    /// no ramp is active).
-    pub fn degraded_loss_at(&self, link: LinkId, now: SimTime) -> f64 {
-        self.links[link.0 as usize]
-            .degrade
-            .map(|r| r.loss_at(now))
-            .unwrap_or(0.0)
-    }
-
-    /// Fabric-wide drops attributed to `reason`.
-    pub fn drops_by_reason(&self, reason: DropReason) -> u64 {
-        self.drop_counts[reason.index()]
-    }
-
-    /// `(packets, bytes)` ever offered to [`Network::send`].
-    pub fn injected(&self) -> (u64, u64) {
-        (self.injected_packets, self.injected_bytes)
-    }
-
-    /// `(packets, bytes)` that reached their destination NIC.
-    pub fn delivered(&self) -> (u64, u64) {
-        (self.delivered_packets, self.delivered_bytes)
-    }
-
-    /// Evaluate the fabric's conservation invariants at a quiesce point
-    /// (`at` is the sim time stamped on any violation). One atomic load
-    /// and a branch when no `stellar_check` scope is open.
-    pub fn check_invariants(&self, at: SimTime) {
-        stellar_check::at_quiesce(at, stellar_check::Layer::Net, |c| {
-            let dropped: u64 = self.drop_counts.iter().sum();
-            c.check(
-                "net.packet_conservation",
-                self.injected_packets == self.delivered_packets + dropped,
-                || {
-                    format!(
-                        "injected {} != delivered {} + drops {} ({:?} by reason)",
-                        self.injected_packets, self.delivered_packets, dropped, self.drop_counts
-                    )
-                },
-            );
-            c.check(
-                "net.byte_conservation",
-                self.injected_bytes == self.delivered_bytes + self.dropped_bytes,
-                || {
-                    format!(
-                        "injected {} B != delivered {} B + dropped {} B",
-                        self.injected_bytes, self.delivered_bytes, self.dropped_bytes
-                    )
-                },
-            );
-        });
-    }
-
-    /// Take a link down / bring it up. Call with the current time so the
-    /// control plane's convergence clock starts (use
-    /// [`Network::set_link_state_at`] when a timestamp is available).
-    pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.set_link_state_at(SimTime::ZERO, link, up);
-    }
-
-    /// Take a link down / bring it up at time `now`.
-    pub fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
-        let l = &mut self.links[link.0 as usize];
-        if l.up && !up {
-            l.down_since = now;
-        }
-        l.up = up;
-    }
-
-    fn route_is_up(&self, route: &[LinkId]) -> bool {
-        route.iter().all(|l| self.links[l.0 as usize].up)
-    }
-
-    /// Whether the control plane has converged around every down link on
-    /// `route` by `now`.
-    fn converged_around(&self, now: SimTime, route: &[LinkId]) -> bool {
-        route.iter().all(|l| {
-            let link = &self.links[l.0 as usize];
-            link.up
-                || now.saturating_duration_since(link.down_since) >= self.config.bgp_convergence
-        })
-    }
-
-    /// Forward one packet of `bytes` from `src` to `dst` along the route
-    /// selected by `(flow, path_id)`, starting at time `now`.
-    ///
-    /// `now` must be non-decreasing across calls (the DES guarantees it).
-    pub fn send(
+    /// Forward one packet of `bytes` along `route` (already rerouted by
+    /// [`Links::reroute`]) starting at `now`, hop by hop.
+    pub(crate) fn forward(
         &mut self,
+        links: &Links,
+        rng: &mut SimRng,
         now: SimTime,
-        src: NicId,
-        dst: NicId,
-        flow: u64,
-        path_id: u32,
+        route: &[LinkId],
         bytes: u64,
     ) -> Delivery {
-        self.apply_faults(now);
-        self.injected_packets += 1;
-        self.injected_bytes += bytes;
-        let delivery = self.forward(now, src, dst, flow, path_id, bytes);
-        match delivery {
-            Delivery::Delivered { .. } => {
-                self.delivered_packets += 1;
-                self.delivered_bytes += bytes;
-            }
-            Delivery::Dropped { reason, link, at } => {
-                self.drop_counts[reason.index()] += 1;
-                self.dropped_bytes += bytes;
-                // The hub mirrors the fabric's per-reason counters at this
-                // single site, so hub totals equal `drops_by_reason` exactly
-                // (no double-counting).
-                count(Subsystem::Net, reason.counter(), 1);
-                event(at, Subsystem::Net, Entity::Link(link.0), reason.name(), bytes);
-            }
-        }
-        if let Some((records, limit)) = &mut self.trace {
-            if records.len() < *limit {
-                records.push(TraceRecord {
-                    sent: now,
-                    src,
-                    dst,
-                    flow,
-                    path_id,
-                    bytes,
-                    delivery,
-                });
-            }
-        }
-        delivery
-    }
-
-    fn forward(
-        &mut self,
-        now: SimTime,
-        src: NicId,
-        dst: NicId,
-        flow: u64,
-        path_id: u32,
-        bytes: u64,
-    ) -> Delivery {
-        let mut route = self.topo.route(src, dst, flow, path_id);
         if route.is_empty() {
-            // Host-local: PCIe/NVLink latency only.
-            return Delivery::Delivered {
-                at: now + self.config.hop_delay,
-                ecn: false,
-            };
+            return links.host_local(now);
         }
-        // Control-plane reroute: once BGP has converged around a failed
-        // link, the routing tables steer this slot to a live alternative
-        // (we probe successive path-table slots, as route withdrawal
-        // re-hashes onto the surviving next hops).
-        if !self.route_is_up(&route) && self.converged_around(now, &route) {
-            let slots = (self.topo.config().planes * self.topo.config().aggs_per_plane) as u32;
-            for bump in 1..slots {
-                let alt = self.topo.route(src, dst, flow, path_id.wrapping_add(bump));
-                if self.route_is_up(&alt) {
-                    route = alt;
-                    break;
-                }
-            }
-        }
-
+        let config = &links.config;
         let mut t = now;
         let mut ecn = false;
-        let bytes_per_ns = self.config.link_gbps / 8.0;
+        let bytes_per_ns = config.link_gbps / 8.0;
         // Every hop serializes the same payload at the same line rate, so
         // the f64 division runs once per packet, not once per link.
-        let serialize = transmit_time(bytes, self.config.link_gbps);
-        for &link_id in &route {
-            let link = &mut self.links[link_id.0 as usize];
-            if !link.up {
+        let serialize = transmit_time(bytes, config.link_gbps);
+        for &link_id in route {
+            let link = &mut self.0[link_id.0 as usize];
+            if let Some(reason) = links.hop_drop(link_id, t, rng) {
                 link.drops += 1;
                 return Delivery::Dropped {
                     link: link_id,
-                    reason: DropReason::LinkDown,
-                    at: t,
-                };
-            }
-            // Degrading-optics loss first (time-dependent), then flat
-            // random loss — separate draws keep the two distinguishable
-            // in the DropReason taxonomy and leave the RNG stream of
-            // ramp-free runs untouched.
-            if let Some(ramp) = link.degrade {
-                let p = ramp.loss_at(t);
-                if p > 0.0 && self.rng.chance(p) {
-                    let link = &mut self.links[link_id.0 as usize];
-                    link.drops += 1;
-                    return Delivery::Dropped {
-                        link: link_id,
-                        reason: DropReason::DegradedLink,
-                        at: t,
-                    };
-                }
-            }
-            let link = &mut self.links[link_id.0 as usize];
-            if link.loss_prob > 0.0 && self.rng.chance(link.loss_prob) {
-                link.drops += 1;
-                return Delivery::Dropped {
-                    link: link_id,
-                    reason: DropReason::RandomLoss,
+                    reason,
                     at: t,
                 };
             }
             // Backlog ahead of us on this port, in bytes.
             let wait = link.next_free.saturating_duration_since(t);
             let backlog = (wait.as_nanos() as f64 * bytes_per_ns) as u64;
-            if backlog + bytes > self.config.buffer_bytes {
+            if backlog + bytes > config.buffer_bytes {
                 link.drops += 1;
                 link.queue.set(t, backlog);
                 return Delivery::Dropped {
@@ -620,7 +260,7 @@ impl Network {
                     at: t,
                 };
             }
-            if backlog > self.config.ecn_threshold_bytes {
+            if backlog > config.ecn_threshold_bytes {
                 ecn = true;
                 link.ecn_marks += 1;
                 count(Subsystem::Net, "ecn_mark", 1);
@@ -635,29 +275,14 @@ impl Network {
             link.next_free = depart;
             link.tx_bytes += bytes;
             link.tx_packets += 1;
-            t = depart + self.config.hop_delay;
+            t = depart + config.hop_delay;
         }
         Delivery::Delivered { at: t, ecn }
     }
 
-    /// An unqueued reverse-path delivery estimate for tiny control packets
-    /// (ACK/NACK): hop delays plus serialization, no queueing.
-    ///
-    /// Real RNICs prioritize ACKs (CNP-class traffic); modelling them
-    /// outside the data-queue calendar keeps ACK-clocking stable and
-    /// halves event volume.
-    pub fn control_rtt_component(&self, src: NicId, dst: NicId) -> SimDuration {
-        let hops = if src == dst {
-            1
-        } else {
-            self.topo.route(src, dst, 0, 0).len() as u64
-        };
-        self.config.hop_delay.mul(hops) + transmit_time(64, self.config.link_gbps).mul(hops)
-    }
-
-    /// Statistics snapshot for a link at time `now`.
-    pub fn link_stats(&self, link: LinkId, now: SimTime) -> LinkStats {
-        let l = &self.links[link.0 as usize];
+    /// Statistics snapshot for a port at time `now`.
+    pub(crate) fn stats(&self, link: LinkId, now: SimTime) -> LinkStats {
+        let l = &self.0[link.0 as usize];
         LinkStats {
             tx_bytes: l.tx_bytes,
             tx_packets: l.tx_packets,
@@ -668,56 +293,145 @@ impl Network {
         }
     }
 
-    /// Current backlog of a link in bytes at time `now`.
-    pub fn backlog_bytes(&self, link: LinkId, now: SimTime) -> u64 {
-        let l = &self.links[link.0 as usize];
-        let wait = l.next_free.saturating_duration_since(now);
-        (wait.as_nanos() as f64 * self.config.link_gbps / 8.0) as u64
-    }
-
-    /// Fig. 12 imbalance over the ToR→Agg uplinks of every ToR that
-    /// carried traffic: `(max−min)/capacity` of the per-port byte loads,
-    /// where capacity is the busiest port's load (the paper normalizes by
-    /// total port bandwidth; over a fixed window the busiest port's bytes
-    /// play that role).
-    ///
-    /// Only ToRs with at least one non-idle uplink participate — idle ToRs
-    /// (other rails/segments) are not part of the experiment.
-    pub fn tor_uplink_imbalance(&self) -> f64 {
-        use std::collections::HashMap;
-        let mut by_tor: HashMap<crate::topology::NodeId, Vec<f64>> = HashMap::new();
-        for l in self.topo.tor_uplinks() {
-            let (from, _) = self.topo.link_endpoints(l);
-            by_tor
-                .entry(from)
-                .or_default()
-                .push(self.links[l.0 as usize].tx_bytes as f64);
-        }
-        let loads: Vec<f64> = by_tor
-            .values()
-            .filter(|ports| ports.iter().any(|&b| b > 0.0))
-            .flatten()
-            .copied()
-            .collect();
-        let max = loads.iter().copied().fold(f64::MIN, f64::max);
-        if loads.is_empty() || max <= 0.0 {
-            return 0.0;
-        }
-        stellar_sim::stats::imbalance(&loads, max)
+    /// Current backlog of a port in bytes at time `now`.
+    pub(crate) fn backlog_bytes(&self, link: LinkId, now: SimTime, link_gbps: f64) -> u64 {
+        let wait = self.0[link.0 as usize].next_free.saturating_duration_since(now);
+        (wait.as_nanos() as f64 * link_gbps / 8.0) as u64
     }
 
     /// Aggregate queue statistics over all ToR uplinks at `now`:
     /// `(mean of time-averaged backlog, max backlog)` in bytes.
-    pub fn tor_uplink_queue_stats(&self, now: SimTime) -> (f64, u64) {
-        let uplinks = self.topo.tor_uplinks();
+    pub(crate) fn uplink_queue_stats(&self, topo: &ClosTopology, now: SimTime) -> (f64, u64) {
+        let uplinks = topo.tor_uplinks();
         let mut sum_avg = 0.0;
         let mut max = 0u64;
         for l in &uplinks {
-            let s = &self.links[l.0 as usize];
+            let s = &self.0[l.0 as usize];
             sum_avg += s.queue.time_avg(now);
             max = max.max(s.queue.max());
         }
         (sum_avg / uplinks.len() as f64, max)
+    }
+}
+
+/// The live packet-level fabric: per-port calendars over the shared
+/// link-fault state.
+#[derive(Debug)]
+pub struct Network {
+    links: Links,
+    ports: Ports,
+    rng: SimRng,
+    ledger: Ledger,
+    trace: Trace,
+}
+
+impl Network {
+    /// A fabric over `topo` with uniform `config`, using `rng` for loss
+    /// injection.
+    pub fn new(topo: ClosTopology, config: NetworkConfig, rng: SimRng) -> Self {
+        Network {
+            ports: Ports::new(&topo),
+            links: Links::new(topo, config),
+            rng,
+            ledger: Ledger::default(),
+            trace: Trace::default(),
+        }
+    }
+}
+
+impl Fabric for Network {
+    fn kind(&self) -> FabricKind {
+        FabricKind::Packet
+    }
+
+    fn topology(&self) -> &ClosTopology {
+        &self.links.topo
+    }
+
+    fn config(&self) -> &NetworkConfig {
+        &self.links.config
+    }
+
+    fn config_mut(&mut self) -> &mut NetworkConfig {
+        &mut self.links.config
+    }
+
+    fn send(
+        &mut self,
+        now: SimTime,
+        src: NicId,
+        dst: NicId,
+        flow: u64,
+        path_id: u32,
+        bytes: u64,
+    ) -> Delivery {
+        self.links.advance(now);
+        let route = self.links.topo.route(src, dst, flow, path_id);
+        let route = self.links.reroute(now, route, src, dst, flow, path_id);
+        let delivery = self.ports.forward(&self.links, &mut self.rng, now, &route, bytes);
+        self.ledger.record(bytes, delivery);
+        self.trace.record(now, (src, dst, flow), path_id, bytes, delivery);
+        delivery
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        self.links.advance(now);
+    }
+
+    fn install_fault_plan(&mut self, plan: FaultPlan) {
+        self.links.install(plan);
+    }
+
+    fn pending_fault_events(&self) -> usize {
+        self.links.pending()
+    }
+
+    fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
+        self.links.set_link_state_at(now, link, up);
+    }
+
+    fn set_loss(&mut self, link: LinkId, p: f64) {
+        self.links.set_loss(link, p);
+    }
+
+    fn control_rtt_component(&self, src: NicId, dst: NicId) -> SimDuration {
+        self.links.control_rtt(src, dst)
+    }
+
+    fn drops_by_reason(&self, reason: DropReason) -> u64 {
+        self.ledger.drops(reason)
+    }
+
+    fn injected(&self) -> (u64, u64) {
+        self.ledger.injected
+    }
+
+    fn delivered(&self) -> (u64, u64) {
+        self.ledger.delivered
+    }
+
+    fn link_stats(&self, link: LinkId, now: SimTime) -> LinkStats {
+        self.ports.stats(link, now)
+    }
+
+    fn tor_uplink_imbalance(&self) -> f64 {
+        uplink_imbalance_from(&self.links.topo, |l| self.ports.0[l.0 as usize].tx_bytes)
+    }
+
+    fn tor_uplink_queue_stats(&self, now: SimTime) -> (f64, u64) {
+        self.ports.uplink_queue_stats(&self.links.topo, now)
+    }
+
+    fn enable_trace(&mut self, limit: usize) {
+        self.trace.enable(limit);
+    }
+
+    fn take_trace(&mut self) -> Vec<TraceRecord> {
+        self.trace.take()
+    }
+
+    fn check_invariants(&self, at: SimTime) {
+        self.ledger.check(at);
     }
 }
 
@@ -772,7 +486,7 @@ mod tests {
         }
         assert!(ecn_seen, "deep backlog should ECN-mark");
         let up = n.topology().route(src, dst, 7, 0)[0];
-        assert!(n.backlog_bytes(up, t(0)) > 100 * 1024);
+        assert!(n.ports.backlog_bytes(up, t(0), n.config().link_gbps) > 100 * 1024);
         let stats = n.link_stats(up, t(0));
         assert!(stats.ecn_marks > 0);
         assert_eq!(stats.tx_packets, 100);
@@ -802,11 +516,11 @@ mod tests {
             n.send(t(0), src, dst, 7, 0, 4096);
         }
         let up = n.topology().route(src, dst, 7, 0)[0];
-        let b0 = n.backlog_bytes(up, t(0));
-        let b_later = n.backlog_bytes(up, t(5));
+        let b0 = n.ports.backlog_bytes(up, t(0), n.config().link_gbps);
+        let b_later = n.ports.backlog_bytes(up, t(5), n.config().link_gbps);
         assert!(b_later < b0);
         // 50 × 4096 B at 200 Gbps ≈ 8.2 µs to drain fully.
-        assert_eq!(n.backlog_bytes(up, t(10)), 0);
+        assert_eq!(n.ports.backlog_bytes(up, t(10), n.config().link_gbps), 0);
     }
 
     #[test]
@@ -979,8 +693,7 @@ mod tests {
         assert!(late > early + 20, "early={early} late={late}");
         assert!(n.drops_by_reason(DropReason::DegradedLink) > 0);
         assert_eq!(n.drops_by_reason(DropReason::RandomLoss), 0);
-        assert!((n.degraded_loss_at(link, t(2000)) - 0.5).abs() < 1e-9);
-        assert!(n.degraded_loss_at(link, t(500)) < 0.3);
+        assert!(n.links.faulty(link, t(500)));
     }
 
     #[test]

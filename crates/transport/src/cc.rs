@@ -90,9 +90,11 @@ impl CongestionControl {
         self.srtt
     }
 
-    /// Whether `bytes` more may be put in flight given `inflight`.
+    /// Whether `bytes` more may be put in flight given `inflight`. An
+    /// idle context always releases one packet, even one larger than the
+    /// window; otherwise such a packet would never be sent.
     pub fn can_send(&self, inflight: u64, bytes: u64) -> bool {
-        inflight + bytes <= self.cwnd
+        inflight == 0 || inflight + bytes <= self.cwnd
     }
 
     /// Process one ACK at `now` for a packet of `bytes` with RTT `rtt`,
@@ -253,6 +255,14 @@ mod tests {
         assert!(cc.can_send(0, 4096));
         assert!(cc.can_send(cc.cwnd() - 4096, 4096));
         assert!(!cc.can_send(cc.cwnd(), 4096));
+    }
+
+    #[test]
+    fn idle_context_releases_a_packet_larger_than_the_window() {
+        let cc = CongestionControl::new(CcConfig::default());
+        let jumbo = cc.cwnd() + 64 * 1024;
+        assert!(cc.can_send(0, jumbo));
+        assert!(!cc.can_send(1, jumbo));
     }
 
     #[test]

@@ -938,11 +938,6 @@ impl<F: Fabric> TransportSim<F> {
         }
     }
 
-    /// Run until every connection is idle (or `hard_stop` is reached).
-    pub fn run_to_idle<A: App<F>>(&mut self, app: &mut A, hard_stop: SimTime) {
-        self.run(app, hard_stop);
-    }
-
     /// Run the transport conservation invariants at a quiesce point
     /// (no-op unless a `stellar_check` scope is active). Called
     /// automatically when [`TransportSim::run`] returns; also callable

@@ -27,43 +27,29 @@ cargo test -q --offline -p stellar-bench --features stellar-sim/reference-queue 
 # verdicts (and the unhardened counterfactual must keep failing).
 cargo run --release --offline -p stellar-bench --bin reproduce -- chaos --quick >/dev/null
 
-# Hybrid-fabric scale gate: the 16k-rank 3D-parallel job and the
-# HPN-scale permutation must complete, and — like every experiment —
-# the table must be byte-identical on one worker and eight. (The
-# fig9/fig16 hybrid-vs-packet tolerance asserts run in the workspace
-# test suite above; the experiment's events/sec lands in
-# BENCH_reproduce.json via the --perf pass below, which covers the
-# whole registry.)
-scale_one="$(STELLAR_THREADS=1 cargo run --release --offline -p stellar-bench --bin reproduce -- scale --quick --json)"
-scale_many="$(STELLAR_THREADS=8 cargo run --release --offline -p stellar-bench --bin reproduce -- scale --quick --json)"
-if [ "$scale_one" != "$scale_many" ]; then
-    echo "scale gate: reproduce scale --json differs between 1 and 8 workers" >&2
-    diff <(printf '%s\n' "$scale_one") <(printf '%s\n' "$scale_many") >&2 || true
-    exit 1
-fi
-
-# Determinism gate: the same figure must serialize byte-identically on
-# consecutive runs — any divergence means wall-clock or unseeded
-# randomness leaked into an experiment.
-a="$(cargo run --release --offline -p stellar-bench --bin reproduce -- fig11 --quick --json)"
-b="$(cargo run --release --offline -p stellar-bench --bin reproduce -- fig11 --quick --json)"
-if [ "$a" != "$b" ]; then
-    echo "determinism gate: reproduce fig11 --json differs between runs" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-fi
-
-# Thread-count gate: the full experiment suite must emit byte-identical
-# JSON whether it runs on one worker or eight — parallelism may change
-# only wall-clock, never results (see DESIGN.md, "Determinism under
-# parallelism").
-one="$(STELLAR_THREADS=1 cargo run --release --offline -p stellar-bench --bin reproduce -- all --quick --json)"
-many="$(STELLAR_THREADS=8 cargo run --release --offline -p stellar-bench --bin reproduce -- all --quick --json)"
-if [ "$one" != "$many" ]; then
-    echo "thread-count gate: reproduce all --json differs between 1 and 8 workers" >&2
-    diff <(printf '%s\n' "$one") <(printf '%s\n' "$many") >&2 || true
-    exit 1
-fi
+# Determinism and strict-check matrix: the full experiment suite runs at
+# one worker and at eight, each plain and under --check. All four
+# outputs must be byte-identical — parallelism may change only
+# wall-clock, never results (see DESIGN.md, "Determinism under
+# parallelism"), and the stellar-check invariant engine may observe,
+# never perturb. `--check` opens a capture scope, so every quiesce point
+# in every layer evaluates its cross-layer invariants (among them
+# transport.recovery_exactly_once, net.blacklist_readmit and the
+# cluster.* ledger checks); any violation prints a sim-time-stamped
+# report on stderr and exits nonzero, which fails this script.
+matrix_ref=""
+for threads in 1 8; do
+    for check in "" --check; do
+        out="$(STELLAR_THREADS=$threads cargo run --release --offline -p stellar-bench --bin reproduce -- all --quick --json $check)"
+        if [ -z "$matrix_ref" ]; then
+            matrix_ref="$out"
+        elif [ "$out" != "$matrix_ref" ]; then
+            echo "matrix gate: reproduce all --json differs at STELLAR_THREADS=$threads ${check:-(no --check)}" >&2
+            diff <(printf '%s\n' "$matrix_ref") <(printf '%s\n' "$out") >&2 || true
+            exit 1
+        fi
+    done
+done
 
 # Trace gate: --trace must produce a well-formed TRACE_<exp>.json whose
 # bytes are identical between one worker and eight — the telemetry fold
@@ -80,49 +66,6 @@ if ! cmp -s "$trace_dir/TRACE_fig11.one.json" "$trace_dir/TRACE_fig11.json"; the
     exit 1
 fi
 rm -rf "$trace_dir"
-
-# Strict-check gate: run representative experiments under the
-# stellar-check invariant engine (`--check` opens a capture scope, so
-# every quiesce point in every layer evaluates its cross-layer
-# invariants). Any violation prints a sim-time-stamped report on stderr
-# and exits nonzero. stdout must stay byte-identical to an unchecked
-# run: the checks may observe, never perturb.
-checked="$(cargo run --release --offline -p stellar-bench --bin reproduce -- fig11 --quick --json --check)"
-if [ "$a" != "$checked" ]; then
-    echo "check gate: reproduce fig11 --json output changed under --check" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$checked") >&2 || true
-    exit 1
-fi
-cargo run --release --offline -p stellar-bench --bin reproduce -- chaos --quick --json --check >/dev/null
-
-# Recovery gate: the compound-chaos recovery suite (connection
-# re-establishment, plane failover, vStellar churn, 4k-rank fleet) must
-# pass every invariant under --check — in particular
-# transport.recovery_exactly_once and net.blacklist_readmit — and must
-# be byte-identical on one worker and eight. (Its events/sec lands in
-# BENCH_reproduce.json via the --perf pass below, like every experiment.)
-rec_one="$(STELLAR_THREADS=1 cargo run --release --offline -p stellar-bench --bin reproduce -- recovery --quick --json --check)"
-rec_many="$(STELLAR_THREADS=8 cargo run --release --offline -p stellar-bench --bin reproduce -- recovery --quick --json)"
-if [ "$rec_one" != "$rec_many" ]; then
-    echo "recovery gate: reproduce recovery --json differs between 1 and 8 workers" >&2
-    diff <(printf '%s\n' "$rec_one") <(printf '%s\n' "$rec_many") >&2 || true
-    exit 1
-fi
-
-# Cluster gate: the multi-tenant scheduling table (policy pair,
-# background contention, churn storm, admission wave, hybrid scale)
-# must pass every invariant under --check — in particular the
-# cluster.slot_capacity / cluster.admitted_capacity /
-# cluster.departed_quiesced ledger checks at every scheduler quiesce
-# point — and the placement + SLO report must be byte-identical on one
-# worker and eight.
-clu_one="$(STELLAR_THREADS=1 cargo run --release --offline -p stellar-bench --bin reproduce -- cluster --quick --json --check)"
-clu_many="$(STELLAR_THREADS=8 cargo run --release --offline -p stellar-bench --bin reproduce -- cluster --quick --json)"
-if [ "$clu_one" != "$clu_many" ]; then
-    echo "cluster gate: reproduce cluster --json differs between 1 and 8 workers" >&2
-    diff <(printf '%s\n' "$clu_one") <(printf '%s\n' "$clu_many") >&2 || true
-    exit 1
-fi
 
 # Golden-corpus gate: the recorded reproduce outputs under
 # crates/bench/tests/golden/ must match fresh runs byte-for-byte at one

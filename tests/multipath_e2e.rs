@@ -1,7 +1,7 @@
 //! Transport × fabric integration: spraying, failures injected mid-run,
 //! and end-to-end determinism.
 
-use stellar::net::{ClosConfig, ClosTopology, Network, NetworkConfig, NicId};
+use stellar::net::{ClosConfig, ClosTopology, Fabric, Network, NetworkConfig, NicId};
 use stellar::transport::{App, ConnId, MsgId, NoopApp, PathAlgo, TransportConfig, TransportSim};
 use stellar::workloads::allreduce::{AllReduceJob, AllReduceRunner};
 use stellar_sim::{SimDuration, SimRng, SimTime};

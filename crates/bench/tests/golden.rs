@@ -1,6 +1,8 @@
 //! Golden-trace conformance corpus: recorded `reproduce --quick --json`
 //! and `--trace` outputs for a representative experiment set, compared
-//! byte-for-byte against a fresh in-process run.
+//! byte-for-byte against a fresh in-process run. fig8, fig11 and chaos
+//! run on the packet model; cluster's `scale` row runs on
+//! `HybridFabric`, so the corpus also pins the fluid and hybrid paths.
 //!
 //! The corpus pins the *rendered bytes*, not just the numbers: any
 //! change to an RNG stream, an event schedule, a JSON field order, or a
@@ -37,6 +39,10 @@ fn fig11() -> String {
 
 fn chaos() -> String {
     json_line("chaos", &rows_to_json(&b::chaos::run(true)))
+}
+
+fn cluster() -> String {
+    json_line("cluster", &rows_to_json(&b::cluster::run(true)))
 }
 
 /// Render the fig11 flight-recorder document exactly as
@@ -82,6 +88,18 @@ fn chaos_json_matches_golden_at_1_and_8_threads() {
             got,
             include_str!("golden/chaos.json"),
             "chaos --quick --json drifted from the golden corpus at {threads} thread(s)"
+        );
+    }
+}
+
+#[test]
+fn cluster_json_matches_golden_at_1_and_8_threads() {
+    for threads in [1usize, 8] {
+        let got = with_thread_override(threads, cluster);
+        assert_eq!(
+            got,
+            include_str!("golden/cluster.json"),
+            "cluster --quick --json drifted from the golden corpus at {threads} thread(s)"
         );
     }
 }

@@ -113,6 +113,16 @@ pub const INVARIANTS: &[InvariantSpec] = &[
     },
     InvariantSpec {
         layer: Layer::Net,
+        name: "net.fluid_index",
+        description: "the fluid flow table's hash index maps every slot's key to that slot, and slots, keys and index entries all number the active flows",
+    },
+    InvariantSpec {
+        layer: Layer::Net,
+        name: "net.hybrid_incast_count",
+        description: "the hybrid's per-NIC incast counters sum to its tracked flows",
+    },
+    InvariantSpec {
+        layer: Layer::Net,
         name: "net.blacklist_readmit",
         description: "every blacklisted path and quarantined plane carries a bounded readmission deadline — nothing is blacklisted forever",
     },

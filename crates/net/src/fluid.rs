@@ -36,9 +36,19 @@
 //! [`FlowTable`] is the model's whole forwarding state. Link faults come
 //! from the link-fault state the packet model uses too, with the same
 //! per-hop checks and random draws, clocked at the send time.
+//!
+//! Flows live in dense slots behind a hash index, so a send costs one
+//! probe. Progressive filling tests each flow against resource shares
+//! that earlier flows of the same round have already drawn down, so the
+//! iteration order can tip a rounding-level comparison. Every pass over
+//! the flow set therefore walks a `(src, dst, flow)`-sorted slot order,
+//! re-sorted only when the set changed since the last recompute:
+//! allocations are a pure function of the flow set by construction,
+//! never of insertion or hash order.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 
+use stellar_sim::hash::FastMap;
 use stellar_sim::{transmit_time, SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, Subsystem};
 
@@ -80,12 +90,17 @@ struct LinkCounters {
     ecn_marks: u64,
 }
 
+/// A flow's `(src, dst, flow-id)` key.
+type FlowKey = (u32, u32, u64);
+
 /// One active flow.
 #[derive(Debug, Clone)]
 struct FlowState {
     /// Constraint-resource indices (src egress, dst ingress, and the
-    /// uplink/downlink pools for cross-segment flows).
-    resources: Vec<u32>,
+    /// uplink/downlink pools for cross-segment flows); the first
+    /// `n_resources` are live.
+    resources: [u32; 4],
+    n_resources: u8,
     /// Per-flow rate cap from the planes actually observed, in Gbps.
     cap_gbps: f64,
     /// Bitmask of planes this flow's routes have touched.
@@ -99,6 +114,12 @@ struct FlowState {
     last_active: SimTime,
 }
 
+impl FlowState {
+    fn resources(&self) -> &[u32] {
+        &self.resources[..self.n_resources as usize]
+    }
+}
+
 /// The fluid model's forwarding state: active flows, their max-min
 /// shares and per-link counters. Link faults live in the shared link
 /// state the caller passes in.
@@ -106,10 +127,15 @@ struct FlowState {
 pub struct FlowTable {
     fluid: FluidConfig,
     links: Vec<LinkCounters>,
-    /// Active flows in deterministic (src, dst, flow) order — the
-    /// recompute iterates this map, so allocation arithmetic is a pure
-    /// function of the flow set, never of hash order.
-    flows: BTreeMap<(u32, u32, u64), FlowState>,
+    /// Active flows, densely packed; `keys[i]` is the key of `slots[i]`.
+    slots: Vec<FlowState>,
+    keys: Vec<FlowKey>,
+    /// Key → slot, probed once per send.
+    index: FastMap<FlowKey, u32>,
+    /// Slot indices in key order — the order every pass over the flow
+    /// set takes. Stale after a flow opens or retires.
+    order: Vec<u32>,
+    order_stale: bool,
     /// Capacity of each constraint resource, in Gbps.
     res_capacity: Vec<f64>,
     /// Active-flow count per resource (provisional-rate estimates).
@@ -138,7 +164,11 @@ impl FlowTable {
         FlowTable {
             fluid,
             links: vec![LinkCounters::default(); topo.total_links()],
-            flows: BTreeMap::new(),
+            slots: Vec::new(),
+            keys: Vec::new(),
+            index: FastMap::default(),
+            order: Vec::new(),
+            order_stale: false,
             res_capacity,
             res_count,
             dirty: false,
@@ -151,7 +181,7 @@ impl FlowTable {
 
     /// `(flows opened, flows retired, flows active)` since construction.
     pub fn flow_ledger(&self) -> (u64, u64, usize) {
-        (self.flows_opened, self.flows_retired, self.flows.len())
+        (self.flows_opened, self.flows_retired, self.slots.len())
     }
 
     /// Link state changed: fair shares need a recompute.
@@ -159,30 +189,39 @@ impl FlowTable {
         self.dirty = true;
     }
 
-    /// Constraint-resource indices of a `src → dst` flow.
-    fn flow_resources(topo: &ClosTopology, src: NicId, dst: NicId) -> Vec<u32> {
+    /// Slot indices in key order.
+    fn sorted_order(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.slots.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| self.keys[i as usize]);
+        order
+    }
+
+    /// Constraint-resource indices of a `src → dst` flow, and how many
+    /// are live.
+    fn flow_resources(topo: &ClosTopology, src: NicId, dst: NicId) -> ([u32; 4], u8) {
         let t = topo.config();
         let nics = topo.total_nics() as u32;
         let (src_host, rail) = topo.nic_location(src);
         let (dst_host, _) = topo.nic_location(dst);
         let src_seg = topo.segment_of_host(src_host);
         let dst_seg = topo.segment_of_host(dst_host);
-        let mut res = vec![src.0, nics + dst.0];
-        if src_seg != dst_seg {
-            let pool_base = 2 * nics;
-            let pools = (t.segments * t.rails) as u32;
-            res.push(pool_base + (src_seg * t.rails + rail) as u32);
-            res.push(pool_base + pools + (dst_seg * t.rails + rail) as u32);
+        if src_seg == dst_seg {
+            return ([src.0, nics + dst.0, 0, 0], 2);
         }
-        res
+        let pool_base = 2 * nics;
+        let pools = (t.segments * t.rails) as u32;
+        let up = pool_base + (src_seg * t.rails + rail) as u32;
+        let down = pool_base + pools + (dst_seg * t.rails + rail) as u32;
+        ([src.0, nics + dst.0, up, down], 4)
     }
 
     /// Progressive-filling max-min fair shares for the current flow
-    /// set. Pure: returns the per-flow rates (in `flows` iteration
-    /// order) without touching cached state, so the capacity invariant
-    /// can re-derive allocations at any quiesce point.
-    fn compute_shares(&self) -> Vec<f64> {
-        let n = self.flows.len();
+    /// set, visiting slots in `order` (key order). Pure: returns the
+    /// per-flow rates (indexed like `order`) without touching cached
+    /// state, so the capacity invariant can re-derive allocations at any
+    /// quiesce point.
+    fn compute_shares(&self, order: &[u32]) -> Vec<f64> {
+        let n = order.len();
         let mut rates = vec![0.0f64; n];
         if n == 0 {
             return rates;
@@ -190,9 +229,9 @@ impl FlowTable {
         let mut frozen = vec![false; n];
         let mut remaining = self.res_capacity.clone();
         let mut counts = vec![0u32; remaining.len()];
-        let flows: Vec<&FlowState> = self.flows.values().collect();
+        let flows: Vec<&FlowState> = order.iter().map(|&i| &self.slots[i as usize]).collect();
         for f in &flows {
-            for &r in &f.resources {
+            for &r in f.resources() {
                 counts[r as usize] += 1;
             }
         }
@@ -221,7 +260,7 @@ impl FlowTable {
                     continue;
                 }
                 let bottlenecked = f.cap_gbps <= level + eps
-                    || f.resources.iter().any(|&r| {
+                    || f.resources().iter().any(|&r| {
                         let c = counts[r as usize];
                         c > 0 && remaining[r as usize].max(0.0) / c as f64 <= level + eps
                     });
@@ -231,7 +270,7 @@ impl FlowTable {
                     frozen[i] = true;
                     froze_any = true;
                     unfrozen -= 1;
-                    for &r in &f.resources {
+                    for &r in f.resources() {
                         remaining[r as usize] -= rate;
                         counts[r as usize] -= 1;
                     }
@@ -255,9 +294,13 @@ impl FlowTable {
 
     /// Install freshly computed fair shares into the flow table.
     fn recompute_rates(&mut self, now: SimTime) {
-        let rates = self.compute_shares();
-        for (f, rate) in self.flows.values_mut().zip(rates) {
-            f.rate_gbps = rate;
+        if self.order_stale {
+            self.order = self.sorted_order();
+            self.order_stale = false;
+        }
+        let rates = self.compute_shares(&self.order);
+        for (&i, rate) in self.order.iter().zip(rates) {
+            self.slots[i as usize].rate_gbps = rate;
         }
         self.dirty = false;
         self.last_recompute = now;
@@ -279,7 +322,7 @@ impl FlowTable {
     /// its resources (counting itself).
     fn provisional_rate(&self, f: &FlowState) -> f64 {
         let mut rate = f.cap_gbps;
-        for &r in &f.resources {
+        for &r in f.resources() {
             let cnt = self.res_count[r as usize].max(1);
             rate = rate.min(self.res_capacity[r as usize] / cnt as f64);
         }
@@ -293,24 +336,36 @@ impl FlowTable {
     pub(crate) fn advance(&mut self, links: &mut Links, now: SimTime) {
         self.dirty |= links.advance(now);
         let timeout = self.fluid.flow_idle_timeout;
-        if now >= self.next_expiry_scan && !self.flows.is_empty() {
+        if now >= self.next_expiry_scan && !self.slots.is_empty() {
             self.next_expiry_scan = now + SimDuration::from_nanos((timeout.as_nanos() / 2).max(1));
-            let (before, res_count) = (self.flows.len(), &mut self.res_count);
-            self.flows.retain(|_, f| {
-                let live = now.saturating_duration_since(f.last_active) < timeout;
-                if !live {
-                    for &r in &f.resources {
-                        res_count[r as usize] -= 1;
-                    }
-                    count(Subsystem::Net, "fabric.fluid.flow.retired", 1);
+            let mut i = 0;
+            while i < self.slots.len() {
+                if now.saturating_duration_since(self.slots[i].last_active) < timeout {
+                    i += 1;
+                } else {
+                    self.retire(i);
                 }
-                live
-            });
-            let retired = (before - self.flows.len()) as u64;
-            self.flows_retired += retired;
-            self.dirty |= retired > 0;
+            }
         }
         self.maybe_recompute(now);
+    }
+
+    /// Retire the flow in slot `i`: return its resources and move the
+    /// last slot into its place. Fair shares become stale.
+    fn retire(&mut self, i: usize) {
+        let f = self.slots.swap_remove(i);
+        for &r in f.resources() {
+            self.res_count[r as usize] -= 1;
+        }
+        let key = self.keys.swap_remove(i);
+        self.index.remove(&key);
+        if let Some(moved) = self.keys.get(i) {
+            self.index.insert(*moved, i as u32);
+        }
+        self.order_stale = true;
+        self.dirty = true;
+        self.flows_retired += 1;
+        count(Subsystem::Net, "fabric.fluid.flow.retired", 1);
     }
 
     /// Carry one packet of `bytes` for `(src, dst, flow)` along `route`
@@ -344,34 +399,47 @@ impl FlowTable {
             NodeKind::Tor { plane, .. } => plane,
             other => unreachable!("a route's first hop ends at a ToR, not {other:?}"),
         };
-        if !self.flows.contains_key(&key) {
-            let resources = Self::flow_resources(&links.topo, src, dst);
-            for &r in &resources {
-                self.res_count[r as usize] += 1;
+        let slot = match self.index.entry(key) {
+            Entry::Occupied(e) => {
+                let slot = *e.get() as usize;
+                let f = &mut self.slots[slot];
+                if f.planes_mask & (1 << plane) == 0 {
+                    // A new plane widens the flow's cap: re-derive shares.
+                    f.planes_mask |= 1 << plane;
+                    f.cap_gbps = config.link_gbps * f.planes_mask.count_ones() as f64;
+                    self.dirty = true;
+                }
+                slot
             }
-            let mut f = FlowState {
-                resources,
-                cap_gbps: config.link_gbps,
-                planes_mask: 1 << plane,
-                rate_gbps: 0.0,
-                next_free: now,
-                last_active: now,
-            };
-            f.rate_gbps = self.provisional_rate(&f);
-            self.flows.insert(key, f);
-            self.flows_opened += 1;
-            self.dirty = true;
-            count(Subsystem::Net, "fabric.fluid.flow.opened", 1);
-        } else if self.flows[&key].planes_mask & (1 << plane) == 0 {
-            // A new plane widens the flow's cap: re-derive shares.
-            let f = self.flows.get_mut(&key).expect("flow just checked");
-            f.planes_mask |= 1 << plane;
-            f.cap_gbps = config.link_gbps * f.planes_mask.count_ones() as f64;
-            self.dirty = true;
-        }
+            Entry::Vacant(e) => {
+                let slot = self.slots.len();
+                e.insert(slot as u32);
+                let (resources, n_resources) = Self::flow_resources(&links.topo, src, dst);
+                let mut f = FlowState {
+                    resources,
+                    n_resources,
+                    cap_gbps: config.link_gbps,
+                    planes_mask: 1 << plane,
+                    rate_gbps: 0.0,
+                    next_free: now,
+                    last_active: now,
+                };
+                for &r in f.resources() {
+                    self.res_count[r as usize] += 1;
+                }
+                f.rate_gbps = self.provisional_rate(&f);
+                self.slots.push(f);
+                self.keys.push(key);
+                self.order_stale = true;
+                self.flows_opened += 1;
+                self.dirty = true;
+                count(Subsystem::Net, "fabric.fluid.flow.opened", 1);
+                slot
+            }
+        };
         self.maybe_recompute(now);
 
-        let f = self.flows.get_mut(&key).expect("flow registered above");
+        let f = &mut self.slots[slot];
         f.last_active = now;
         let rate = f.rate_gbps.max(1e-6);
         let wait = f.next_free.saturating_duration_since(now);
@@ -420,31 +488,52 @@ impl FlowTable {
         }
     }
 
-    /// Evaluate the flow-table invariants (flow conservation and the
-    /// max-min allocation's capacity bound) at a quiesce point.
+    /// Evaluate the flow-table invariants (flow conservation, the slot
+    /// index and the max-min allocation's capacity bound) at a quiesce
+    /// point.
     pub(crate) fn check_invariants(&self, at: SimTime) {
         stellar_check::at_quiesce(at, stellar_check::Layer::Net, |c| {
+            let active = self.slots.len();
             c.check(
                 "net.fluid_flow_conservation",
-                self.flows_opened == self.flows_retired + self.flows.len() as u64,
+                self.flows_opened == self.flows_retired + active as u64,
                 || {
                     format!(
-                        "flows opened {} != retired {} + active {}",
-                        self.flows_opened,
-                        self.flows_retired,
-                        self.flows.len()
+                        "flows opened {} != retired {} + active {active}",
+                        self.flows_opened, self.flows_retired,
                     )
+                },
+            );
+            let misindexed = self
+                .keys
+                .iter()
+                .enumerate()
+                .find(|&(i, k)| self.index.get(k) != Some(&(i as u32)));
+            c.check(
+                "net.fluid_index",
+                misindexed.is_none() && self.keys.len() == active && self.index.len() == active,
+                || match misindexed {
+                    Some((i, k)) => format!(
+                        "slot {i} holds flow {k:?} but the index maps it to {:?}",
+                        self.index.get(k)
+                    ),
+                    None => format!(
+                        "{active} slots, {} keys, {} index entries",
+                        self.keys.len(),
+                        self.index.len()
+                    ),
                 },
             );
             // Re-derive allocations from scratch (pure) so the check
             // validates the allocator itself, not a possibly-stale
             // cached rate between coalesced recomputes.
-            let rates = self.compute_shares();
+            let order = self.sorted_order();
+            let rates = self.compute_shares(&order);
             let mut sums = vec![0.0f64; self.res_capacity.len()];
             let mut all_positive = true;
-            for (f, &rate) in self.flows.values().zip(&rates) {
+            for (&i, &rate) in order.iter().zip(&rates) {
                 all_positive &= rate > 0.0;
-                for &r in &f.resources {
+                for &r in self.slots[i as usize].resources() {
                     sums[r as usize] += rate;
                 }
             }
@@ -459,8 +548,7 @@ impl FlowTable {
                 || match oversubscribed {
                     Some((r, (s, cap))) => format!(
                         "resource {r}: allocated {s:.3} Gbps exceeds capacity {cap:.3} Gbps \
-                         over {} active flows",
-                        self.flows.len()
+                         over {active} active flows"
                     ),
                     None => "an active flow was allocated a zero rate".to_string(),
                 },
@@ -639,13 +727,13 @@ mod tests {
         assert!(d.arrival().is_some());
         // First packet rides one plane: capped at link rate until the
         // second plane is observed.
-        assert!((f.flows.flows.values().next().unwrap().rate_gbps - 200.0).abs() < 1e-6);
+        assert!((f.flows.slots[0].rate_gbps - 200.0).abs() < 1e-6);
         // A packet on the other plane (path_id picks the plane) widens
         // the cap to both ports.
         for p in 1..8 {
             f.send(t(0), src, dst, 1, p, 1 << 20);
         }
-        assert!((f.flows.flows.values().next().unwrap().rate_gbps - 400.0).abs() < 1e-6);
+        assert!((f.flows.slots[0].rate_gbps - 400.0).abs() < 1e-6);
     }
 
     #[test]
@@ -659,7 +747,7 @@ mod tests {
             f.send(t(0), src, dst, h as u64, 0, 4096);
             f.send(t(0), src, dst, h as u64, 1, 4096);
         }
-        let rates: Vec<f64> = f.flows.flows.values().map(|fl| fl.rate_gbps).collect();
+        let rates: Vec<f64> = f.flows.slots.iter().map(|fl| fl.rate_gbps).collect();
         assert_eq!(rates.len(), 4);
         for r in &rates {
             // 4 flows share 400 Gbps of dst ingress: 100 Gbps each.
@@ -723,6 +811,49 @@ mod tests {
         assert_eq!(f.flow_ledger(), (1, 1, 0));
         // And invariants hold at this quiesce point.
         stellar_check::strict(|| f.check_invariants(t(10_000)));
+    }
+
+    /// `(key, rate bits)` of every active flow, in key order.
+    fn rates_by_key(f: &FluidFabric) -> Vec<(FlowKey, u64)> {
+        let t = &f.flows;
+        let mut rates: Vec<_> =
+            t.keys.iter().zip(&t.slots).map(|(&k, s)| (k, s.rate_gbps.to_bits())).collect();
+        rates.sort_unstable();
+        rates
+    }
+
+    #[test]
+    fn shuffled_insertion_order_gives_bit_identical_rates() {
+        let nics = topo().total_nics() as u64;
+        let mut rng = SimRng::from_seed(17);
+        let mut sends: Vec<(NicId, NicId, u64, u32)> = (0..60)
+            .map(|_| {
+                let src = rng.below(nics);
+                let dst = (src + 1 + rng.below(nics - 1)) % nics;
+                (NicId(src as u32), NicId(dst as u32), rng.below(3), rng.below(8) as u32)
+            })
+            .collect();
+        let run = |sends: &[(NicId, NicId, u64, u32)]| {
+            let mut f = fabric();
+            for &(src, dst, flow, path) in sends {
+                f.send(t(0), src, dst, flow, path, 4096);
+            }
+            // The recompute walked the slots in key order.
+            let t = &f.flows;
+            assert!(!t.order_stale);
+            let walked: Vec<FlowKey> = t.order.iter().map(|&i| t.keys[i as usize]).collect();
+            assert!(walked.windows(2).all(|w| w[0] < w[1]), "recompute order is not key order");
+            rates_by_key(&f)
+        };
+        let forward = run(&sends);
+        assert!(forward.len() > 40, "the flows must mostly be distinct");
+        for round in 0..4 {
+            // Fisher-Yates with the seeded stream.
+            for i in (1..sends.len()).rev() {
+                sends.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            assert_eq!(run(&sends), forward, "shuffle {round} changed a rate");
+        }
     }
 
     #[test]

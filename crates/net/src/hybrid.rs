@@ -35,10 +35,15 @@
 //! its own conservation ledger (and invariant checks); the fabric-wide
 //! ledgers and link stats are the field-wise sum of the two. One trace
 //! records every send in send order.
+//!
+//! Rules 1 and 2 walk the route only for what they can find: while no
+//! link has ever been faulty every link is healthy, and while the packet
+//! carrier is idle at the send time every packet-side backlog is zero.
+//! With both, the walk is skipped.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 
+use stellar_sim::hash::FastMap;
 use stellar_sim::{SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, Subsystem};
 
@@ -92,10 +97,12 @@ pub struct HybridFabric {
     fluid_ledger: Ledger,
     trace: Trace,
     hybrid: HybridConfig,
-    /// Active-flow metadata in deterministic key order.
-    meta: BTreeMap<(u32, u32, u64), FlowMeta>,
-    /// Distinct active flows per destination NIC (incast detector).
-    dst_flows: BTreeMap<u32, u32>,
+    /// Active-flow metadata. Nothing iterates it in an order that can
+    /// reach the output: expiry only decrements integer counters.
+    meta: FastMap<(u32, u32, u64), FlowMeta>,
+    /// Distinct active flows per destination NIC (incast detector),
+    /// indexed by NIC.
+    dst_flows: Vec<u32>,
     next_expiry_scan: SimTime,
     escalations: u64,
     packet_sends: u64,
@@ -113,6 +120,7 @@ impl HybridFabric {
         rng: SimRng,
     ) -> Self {
         HybridFabric {
+            dst_flows: vec![0; topo.total_nics()],
             ports: Ports::new(&topo),
             flows: FlowTable::new(&topo, &config, hybrid.fluid.clone()),
             links: Links::new(topo, config),
@@ -122,8 +130,7 @@ impl HybridFabric {
             fluid_ledger: Ledger::default(),
             trace: Trace::default(),
             hybrid,
-            meta: BTreeMap::new(),
-            dst_flows: BTreeMap::new(),
+            meta: FastMap::default(),
             next_expiry_scan: SimTime::ZERO,
             escalations: 0,
             packet_sends: 0,
@@ -154,11 +161,7 @@ impl HybridFabric {
         self.meta.retain(|&(_, dst, _), m| {
             let live = now.saturating_duration_since(m.last_active) < timeout;
             if !live {
-                let c = dst_flows.get_mut(&dst).expect("dst counted at registration");
-                *c -= 1;
-                if *c == 0 {
-                    dst_flows.remove(&dst);
-                }
+                dst_flows[dst as usize] -= 1;
             }
             live
         });
@@ -196,11 +199,13 @@ impl Fabric for HybridFabric {
         // Escalate when the flow already is (stickiness), when its
         // destination is an incast port, or when the route crosses a link
         // that is down, lossy, degrading, or queued past the ECN
-        // threshold on the packet side. Cheap per-flow checks first.
+        // threshold on the packet side. Cheap per-flow checks first; the
+        // link walk checks faults only once a link was ever faulty, and
+        // backlogs only while a packet-side queue may still hold bytes.
         let m = match self.meta.entry((src.0, dst.0, flow)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                *self.dst_flows.entry(dst.0).or_insert(0) += 1;
+                self.dst_flows[dst.0 as usize] += 1;
                 e.insert(FlowMeta {
                     last_active: now,
                     escalated: false,
@@ -208,14 +213,16 @@ impl Fabric for HybridFabric {
             }
         };
         let config = &self.links.config;
+        let (pristine, idle) = (self.links.pristine(), self.ports.idle_at(now));
         let contested = m.escalated
-            || self.dst_flows.get(&dst.0).copied().unwrap_or(0) as usize
-                >= self.hybrid.incast_threshold
-            || route.iter().any(|&l| {
-                self.links.faulty(l, now)
-                    || self.ports.backlog_bytes(l, now, config.link_gbps)
-                        > config.ecn_threshold_bytes
-            });
+            || self.dst_flows[dst.0 as usize] as usize >= self.hybrid.incast_threshold
+            || (!(pristine && idle)
+                && route.iter().any(|&l| {
+                    self.links.faulty(l, now)
+                        || (!idle
+                            && self.ports.backlog_bytes(l, now, config.link_gbps)
+                                > config.ecn_threshold_bytes)
+                }));
         m.last_active = now;
         if contested && !m.escalated {
             m.escalated = true;
@@ -317,6 +324,19 @@ impl Fabric for HybridFabric {
         self.packet_ledger.check(at);
         self.fluid_ledger.check(at);
         self.flows.check_invariants(at);
+        stellar_check::at_quiesce(at, stellar_check::Layer::Net, |c| {
+            let counted: u64 = self.dst_flows.iter().map(|&n| n as u64).sum();
+            c.check(
+                "net.hybrid_incast_count",
+                counted == self.meta.len() as u64,
+                || {
+                    format!(
+                        "per-NIC incast counters sum to {counted}, but {} flows are tracked",
+                        self.meta.len()
+                    )
+                },
+            );
+        });
     }
 }
 

@@ -67,6 +67,9 @@ pub(crate) struct Links {
     /// not-yet-applied event.
     plan: Vec<(SimTime, FaultEvent)>,
     cursor: usize,
+    /// No link has ever gone down, turned lossy or started degrading.
+    /// Sticky: it never comes back once cleared.
+    pristine: bool,
 }
 
 impl Links {
@@ -87,6 +90,7 @@ impl Links {
             faults,
             plan: Vec::new(),
             cursor: 0,
+            pristine: true,
         }
     }
 
@@ -134,11 +138,13 @@ impl Links {
                 self.set_link_state_at(at, from_tor, up);
             }
             FaultEvent::SetLoss { link, p } => {
+                self.pristine = false;
                 let l = &mut self.faults[link.0 as usize];
                 l.loss_prob = p;
                 l.degrade = None;
             }
             FaultEvent::DegradeRamp { link, from, to, over } => {
+                self.pristine = false;
                 self.faults[link.0 as usize].degrade = Some(DegradeRamp {
                     t0: at,
                     from,
@@ -152,6 +158,7 @@ impl Links {
     /// Take a link down / bring it up at time `now` (a down transition
     /// starts the BGP convergence clock).
     pub(crate) fn set_link_state_at(&mut self, now: SimTime, link: LinkId, up: bool) {
+        self.pristine &= up;
         let l = &mut self.faults[link.0 as usize];
         if l.up && !up {
             l.down_since = now;
@@ -162,11 +169,23 @@ impl Links {
     /// Inject flat random loss with probability `p` on `link`.
     pub(crate) fn set_loss(&mut self, link: LinkId, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
+        self.pristine &= p == 0.0;
         self.faults[link.0 as usize].loss_prob = p;
+    }
+
+    /// Whether no link has ever been down, lossy or degrading. While it
+    /// holds, every link is up and loss-free, so [`Links::hop_drop`],
+    /// [`Links::reroute`] and [`Links::faulty`] answer without reading
+    /// per-link state.
+    pub(crate) fn pristine(&self) -> bool {
+        self.pristine
     }
 
     /// Whether `link` is down, lossy, or degrading at `now`.
     pub(crate) fn faulty(&self, link: LinkId, now: SimTime) -> bool {
+        if self.pristine {
+            return false;
+        }
         let l = &self.faults[link.0 as usize];
         !l.up || l.loss_prob > 0.0 || l.degrade.is_some_and(|r| r.loss_at(now) > 0.0)
     }
@@ -200,7 +219,7 @@ impl Links {
         flow: u64,
         path_id: u32,
     ) -> Route {
-        if self.route_is_up(&route) || !self.converged_around(now, &route) {
+        if self.pristine || self.route_is_up(&route) || !self.converged_around(now, &route) {
             return route;
         }
         let slots = (self.topo.config().planes * self.topo.config().aggs_per_plane) as u32;
@@ -216,6 +235,9 @@ impl Links {
     /// distinguishable in the [`DropReason`] taxonomy and leave the RNG
     /// stream of loss-free links untouched.
     pub(crate) fn hop_drop(&self, link: LinkId, t: SimTime, rng: &mut SimRng) -> Option<DropReason> {
+        if self.pristine {
+            return None;
+        }
         let l = &self.faults[link.0 as usize];
         if !l.up {
             return Some(DropReason::LinkDown);

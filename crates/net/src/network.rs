@@ -200,22 +200,35 @@ struct Port {
 /// Per-port calendars: the packet model's whole forwarding state. Link
 /// faults live in the shared [`Links`].
 #[derive(Debug)]
-pub(crate) struct Ports(Vec<Port>);
+pub(crate) struct Ports {
+    ports: Vec<Port>,
+    /// The latest `next_free` of any port: at or after it, every port is
+    /// idle and every backlog is zero.
+    horizon: SimTime,
+}
 
 impl Ports {
     /// One idle port per directed link of `topo`.
     pub(crate) fn new(topo: &ClosTopology) -> Self {
-        Ports(vec![
-            Port {
-                next_free: SimTime::ZERO,
-                queue: Gauge::new(SimTime::ZERO),
-                tx_bytes: 0,
-                tx_packets: 0,
-                drops: 0,
-                ecn_marks: 0,
-            };
-            topo.total_links()
-        ])
+        Ports {
+            ports: vec![
+                Port {
+                    next_free: SimTime::ZERO,
+                    queue: Gauge::new(SimTime::ZERO),
+                    tx_bytes: 0,
+                    tx_packets: 0,
+                    drops: 0,
+                    ecn_marks: 0,
+                };
+                topo.total_links()
+            ],
+            horizon: SimTime::ZERO,
+        }
+    }
+
+    /// Whether every port is idle at `now` (every backlog is zero).
+    pub(crate) fn idle_at(&self, now: SimTime) -> bool {
+        self.horizon <= now
     }
 
     /// Forward one packet of `bytes` along `route` (already rerouted by
@@ -239,7 +252,7 @@ impl Ports {
         // the f64 division runs once per packet, not once per link.
         let serialize = transmit_time(bytes, config.link_gbps);
         for &link_id in route {
-            let link = &mut self.0[link_id.0 as usize];
+            let link = &mut self.ports[link_id.0 as usize];
             if let Some(reason) = links.hop_drop(link_id, t, rng) {
                 link.drops += 1;
                 return Delivery::Dropped {
@@ -273,6 +286,7 @@ impl Ports {
             let depart = start + serialize;
             link.queue.set(t, backlog + bytes);
             link.next_free = depart;
+            self.horizon = self.horizon.max(depart);
             link.tx_bytes += bytes;
             link.tx_packets += 1;
             t = depart + config.hop_delay;
@@ -282,7 +296,7 @@ impl Ports {
 
     /// Statistics snapshot for a port at time `now`.
     pub(crate) fn stats(&self, link: LinkId, now: SimTime) -> LinkStats {
-        let l = &self.0[link.0 as usize];
+        let l = &self.ports[link.0 as usize];
         LinkStats {
             tx_bytes: l.tx_bytes,
             tx_packets: l.tx_packets,
@@ -295,7 +309,7 @@ impl Ports {
 
     /// Current backlog of a port in bytes at time `now`.
     pub(crate) fn backlog_bytes(&self, link: LinkId, now: SimTime, link_gbps: f64) -> u64 {
-        let wait = self.0[link.0 as usize].next_free.saturating_duration_since(now);
+        let wait = self.ports[link.0 as usize].next_free.saturating_duration_since(now);
         (wait.as_nanos() as f64 * link_gbps / 8.0) as u64
     }
 
@@ -306,7 +320,7 @@ impl Ports {
         let mut sum_avg = 0.0;
         let mut max = 0u64;
         for l in &uplinks {
-            let s = &self.0[l.0 as usize];
+            let s = &self.ports[l.0 as usize];
             sum_avg += s.queue.time_avg(now);
             max = max.max(s.queue.max());
         }
@@ -415,7 +429,7 @@ impl Fabric for Network {
     }
 
     fn tor_uplink_imbalance(&self) -> f64 {
-        uplink_imbalance_from(&self.links.topo, |l| self.ports.0[l.0 as usize].tx_bytes)
+        uplink_imbalance_from(&self.links.topo, |l| self.ports.ports[l.0 as usize].tx_bytes)
     }
 
     fn tor_uplink_queue_stats(&self, now: SimTime) -> (f64, u64) {

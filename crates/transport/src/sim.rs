@@ -7,6 +7,8 @@
 //! the [`App`] trait to chain dependent messages (ring AllReduce steps,
 //! bursty background jobs) causally inside the simulation.
 
+use std::collections::VecDeque;
+
 use stellar_net::{Delivery, Fabric, Network, NicId};
 use stellar_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, event, span_close, span_open, stage_sample, Entity, Stage, Subsystem};
@@ -247,9 +249,9 @@ pub struct TransportSim<F: Fabric = Network> {
     network: F,
     queue: EventQueue<Ev>,
     conns: Vec<ConnRuntime>,
-    completions: Vec<(ConnId, MsgId)>,
-    errors: Vec<(ConnId, FatalError)>,
-    recovered: Vec<(ConnId, SimDuration)>,
+    completions: VecDeque<(ConnId, MsgId)>,
+    errors: VecDeque<(ConnId, FatalError)>,
+    recovered: VecDeque<(ConnId, SimDuration)>,
     rng: SimRng,
     /// Reusable buffer for the batched same-timestamp drain in
     /// [`TransportSim::run`] (kept across calls to avoid reallocation).
@@ -267,9 +269,9 @@ impl<F: Fabric> TransportSim<F> {
             // regrow during the first ramp-up.
             queue: EventQueue::with_capacity(1024),
             conns: Vec::new(),
-            completions: Vec::new(),
-            errors: Vec::new(),
-            recovered: Vec::new(),
+            completions: VecDeque::new(),
+            errors: VecDeque::new(),
+            recovered: VecDeque::new(),
             rng,
             batch_buf: Vec::new(),
         }
@@ -568,7 +570,7 @@ impl<F: Fabric> TransportSim<F> {
         event(now, Subsystem::Transport, Entity::Conn(conn_id.0), "fatal", 0);
         rt.conn.state = ConnState::Error;
         rt.conn.fatal = Some(error);
-        self.errors.push((conn_id, error));
+        self.errors.push_back((conn_id, error));
     }
 
     /// A scheduled reconnect fired: re-establish the QP, rebuild the
@@ -605,7 +607,7 @@ impl<F: Fabric> TransportSim<F> {
             "recovered",
             replayed,
         );
-        self.recovered.push((conn_id, downtime));
+        self.recovered.push_back((conn_id, downtime));
         self.pump(conn_id);
     }
 
@@ -742,7 +744,7 @@ impl<F: Fabric> TransportSim<F> {
                 rt.conn.stats.completed_messages += 1;
                 count(Subsystem::Transport, "msg.completed", 1);
                 span_close(now, Stage::TransportMsg, msg_span_key(conn_id, pkt.msg));
-                self.completions.push((conn_id, pkt.msg));
+                self.completions.push_back((conn_id, pkt.msg));
             }
         }
         // ACK travels back on the prioritized control path.
@@ -919,13 +921,13 @@ impl<F: Fabric> TransportSim<F> {
                 // Callbacks run after every event, exactly as the
                 // unbatched loop did — batching may never reorder an
                 // event relative to the completions it caused.
-                while let Some((c, m)) = pop_front(&mut self.completions) {
+                while let Some((c, m)) = self.completions.pop_front() {
                     app.on_message_complete(self, c, m);
                 }
-                while let Some((c, e)) = pop_front(&mut self.errors) {
+                while let Some((c, e)) = self.errors.pop_front() {
                     app.on_connection_error(self, c, e);
                 }
-                while let Some((c, d)) = pop_front(&mut self.recovered) {
+                while let Some((c, d)) = self.recovered.pop_front() {
                     app.on_connection_recovered(self, c, d);
                 }
             }
@@ -1056,14 +1058,6 @@ impl<F: Fabric> TransportSim<F> {
             }
         });
         self.network.check_invariants(at);
-    }
-}
-
-fn pop_front<T>(v: &mut Vec<T>) -> Option<T> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.remove(0))
     }
 }
 

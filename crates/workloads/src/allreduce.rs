@@ -12,8 +12,6 @@
 //! a job can run bursty — `run_iters` AllReduces, then an off period —
 //! reproducing the paper's 5 s-on/5 s-off background.
 
-use std::collections::HashMap;
-
 use stellar_net::{Fabric, NicId};
 use stellar_sim::{SimDuration, SimTime};
 use stellar_transport::{App, ConnId, MsgId, TransportSim};
@@ -109,7 +107,9 @@ struct JobState {
 /// Drives one or more AllReduce jobs as a transport [`App`].
 pub struct AllReduceRunner {
     jobs: Vec<JobState>,
-    by_conn: HashMap<ConnId, (usize, usize)>, // conn -> (job, receiver rank)
+    /// `(job, receiver rank)` per connection, indexed by `ConnId`;
+    /// `None` for connections the runner does not own.
+    by_conn: Vec<Option<(usize, usize)>>,
 }
 
 impl AllReduceRunner {
@@ -117,7 +117,7 @@ impl AllReduceRunner {
     pub fn new<F: Fabric>(sim: &mut TransportSim<F>, jobs: Vec<AllReduceJob>) -> Self {
         let mut runner = AllReduceRunner {
             jobs: Vec::new(),
-            by_conn: HashMap::new(),
+            by_conn: Vec::new(),
         };
         for job in jobs {
             runner.add_job(sim, job);
@@ -138,7 +138,11 @@ impl AllReduceRunner {
             let src = job.nics[i];
             let dst = job.nics[(i + 1) % n];
             let c = sim.add_connection(src, dst);
-            self.by_conn.insert(c, (j, (i + 1) % n));
+            let slot = c.0 as usize;
+            if self.by_conn.len() <= slot {
+                self.by_conn.resize(slot + 1, None);
+            }
+            self.by_conn[slot] = Some((j, (i + 1) % n));
             conns.push(c);
         }
         let chunk = (job.data_bytes / n as u64).max(1);
@@ -212,7 +216,7 @@ impl AllReduceRunner {
 
 impl<F: Fabric> App<F> for AllReduceRunner {
     fn on_message_complete(&mut self, sim: &mut TransportSim<F>, conn: ConnId, _msg: MsgId) {
-        let Some(&(j, rank)) = self.by_conn.get(&conn) else {
+        let Some(&Some((j, rank))) = self.by_conn.get(conn.0 as usize) else {
             return; // not ours (foreign traffic sharing the sim)
         };
         let now = sim.now();

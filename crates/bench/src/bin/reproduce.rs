@@ -27,6 +27,8 @@
 //! results are collected into declaration-order slots before anything is
 //! printed, and per-job telemetry folds in job order.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use stellar_bench as b;

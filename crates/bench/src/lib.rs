@@ -11,6 +11,7 @@
 //! where the crossovers sit — are stable across both modes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod claims;

@@ -34,6 +34,7 @@
 //! violation tests must use [`collect`], which touches no global state.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};

@@ -34,6 +34,7 @@
 //! quiesce point.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod placement;
 pub mod report;

@@ -23,6 +23,7 @@
 //!   eMTT makes avoidable.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod controller;

@@ -28,6 +28,7 @@
 //! ledger, defined once in the private `links` module.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fabric;
 pub mod fault;

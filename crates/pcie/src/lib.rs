@@ -21,6 +21,7 @@
 //! quantities the paper measured with Neohost / pcm-iio.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod ats;

@@ -18,6 +18,7 @@
 //!   and the Fig. 14 RC-path bottleneck.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dma;
 pub mod doorbell;

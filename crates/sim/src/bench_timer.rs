@@ -64,7 +64,26 @@ impl Harness {
             return;
         }
         let stats = time_closure(self.iters, &mut f);
-        println!("{}", stats.to_json_line(name, self.iters));
+        println!("{}", stats.to_json(name, self.iters).finish());
+    }
+
+    /// [`bench`](Self::bench) for a closure that does `ops` operations
+    /// per call: the JSON line also carries `ops` and the per-operation
+    /// times `min_ns_per_op`, `median_ns_per_op` and `mean_ns_per_op`.
+    pub fn bench_per_op(&self, name: &str, ops: u64, mut f: impl FnMut()) {
+        if !self.matches(name) {
+            return;
+        }
+        let stats = time_closure(self.iters, &mut f);
+        let per = |ns: u64| ns as f64 / ops.max(1) as f64;
+        let line = stats
+            .to_json(name, self.iters)
+            .field_u64("ops", ops)
+            .field_f64("min_ns_per_op", per(stats.min_ns))
+            .field_f64("median_ns_per_op", per(stats.median_ns))
+            .field_f64("mean_ns_per_op", per(stats.mean_ns))
+            .finish();
+        println!("{line}");
     }
 }
 
@@ -80,14 +99,13 @@ pub struct BenchStats {
 }
 
 impl BenchStats {
-    fn to_json_line(self, name: &str, iters: u32) -> String {
+    fn to_json(self, name: &str, iters: u32) -> Obj {
         Obj::new()
             .field_str("bench", name)
             .field_u64("iters", iters as u64)
             .field_u64("min_ns", self.min_ns)
             .field_u64("median_ns", self.median_ns)
             .field_u64("mean_ns", self.mean_ns)
-            .finish()
     }
 }
 
@@ -143,7 +161,8 @@ mod tests {
             median_ns: 20,
             mean_ns: 21,
         }
-        .to_json_line("x", 3);
+        .to_json("x", 3)
+        .finish();
         let v = crate::json::parse(&line).unwrap();
         assert_eq!(v.get("bench").and_then(|b| b.as_str()), Some("x"));
         assert_eq!(v.get("min_ns").and_then(|b| b.as_f64()), Some(10.0));

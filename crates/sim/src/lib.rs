@@ -41,10 +41,13 @@
 //! ```
 
 #![warn(missing_docs)]
+// One audited exception: the prefetch hint in [`hint`] (DESIGN.md §8).
+#![deny(unsafe_code)]
 
 pub mod bench_timer;
 mod cache;
 pub mod hash;
+pub mod hint;
 pub mod json;
 pub mod par;
 pub mod proptest_lite;

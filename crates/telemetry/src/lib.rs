@@ -37,6 +37,7 @@
 //! byte-identical at every `STELLAR_THREADS` value.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod export;
 mod hub;

@@ -1,6 +1,12 @@
 //! RC connection state: message segmentation, sender bookkeeping, and the
 //! out-of-order receive path.
 //!
+//! A posted message is not expanded into per-packet queue entries: the
+//! sender walks a `(message, index)` cursor over [`Connection::messages`],
+//! so posting costs one `MessageState` push however many packets the
+//! message has. Only a QP re-establishment materialises packets, into the
+//! replay queue (see [`Connection::replay_unacked`]).
+//!
 //! Spraying packets over 128 paths guarantees heavy reordering at the
 //! receiver. Like the paper's RNIC (Direct Packet Placement, paper ref. 19), the
 //! receiver writes each packet straight to its memory slot — modelled by a
@@ -9,7 +15,6 @@
 //! retransmissions racing the original) are absorbed idempotently.
 
 use std::collections::VecDeque;
-
 
 use stellar_net::NicId;
 use stellar_sim::SimTime;
@@ -22,8 +27,9 @@ pub struct ConnId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MsgId(pub u64);
 
-/// A packet not yet sent.
-#[derive(Debug, Clone, Copy)]
+/// A packet not yet sent: what [`Connection::next_packet`] hands the pump,
+/// and the replay queue's entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingPacket {
     /// Owning message.
     pub msg: MsgId,
@@ -67,8 +73,12 @@ pub struct InflightTable {
 }
 
 impl InflightTable {
-    /// Initial slot count on first insert (fits a typical BDP window).
-    const MIN_SLOTS: usize = 64;
+    /// Initial slot count on first insert. Small on purpose: a 16k-rank
+    /// ring keeps one packet in flight per connection, and every unused
+    /// slot is 56 bytes of connection state to keep in cache. Windowed
+    /// flows double their way up to the window in a handful of
+    /// re-placements.
+    const MIN_SLOTS: usize = 4;
 
     #[inline]
     fn mask(&self) -> u64 {
@@ -150,6 +160,16 @@ impl InflightTable {
         self.len = 0;
     }
 
+    /// The slot `seq` maps to, whether or not it holds `seq` (`None`
+    /// before the first insert: the mask wraps to all ones and the empty
+    /// table has no slot under it). Only for cache prefetching: reading
+    /// it answers nothing about what is in flight.
+    #[inline]
+    pub(crate) fn slot_hint(&self, seq: u64) -> Option<&Option<(u64, InflightPacket)>> {
+        let mask = (self.slots.len() as u64).wrapping_sub(1);
+        self.slots.get((seq & mask) as usize)
+    }
+
     /// Iterate over the in-flight packets (arbitrary order).
     pub fn values(&self) -> impl Iterator<Item = &InflightPacket> {
         self.slots.iter().filter_map(|s| s.as_ref().map(|(_, p)| p))
@@ -178,8 +198,11 @@ pub struct MessageState {
     pub bytes: u64,
     /// When the sender posted it.
     pub posted_at: SimTime,
-    /// Receiver-side bitmap of landed packets.
-    received: Vec<u64>,
+    /// Receiver-side bitmap of landed packets: word 0 inline, so
+    /// messages of up to 64 packets never touch the heap.
+    received_head: u64,
+    /// Bitmap words 1.. (empty for messages of up to 64 packets).
+    received_tail: Vec<u64>,
     received_count: u64,
     /// Sender-side count of acknowledged packets.
     pub acked_packets: u64,
@@ -194,10 +217,31 @@ impl MessageState {
             total_packets,
             bytes,
             posted_at,
-            received: vec![0u64; total_packets.div_ceil(64) as usize],
+            received_head: 0,
+            received_tail: vec![0u64; total_packets.div_ceil(64).saturating_sub(1) as usize],
             received_count: 0,
             acked_packets: 0,
             completed_at: None,
+        }
+    }
+
+    /// Payload bytes of packet `idx` when segmented at `mtu`: `mtu`,
+    /// except for a short tail.
+    #[inline]
+    pub(crate) fn packet_bytes(&self, idx: u64, mtu: u64) -> u64 {
+        debug_assert!(idx < self.total_packets, "packet index out of range");
+        if idx == self.total_packets - 1 {
+            self.bytes - idx * mtu
+        } else {
+            mtu
+        }
+    }
+
+    #[inline]
+    fn word(&self, idx: u64) -> u64 {
+        match idx / 64 {
+            0 => self.received_head,
+            w => self.received_tail[w as usize - 1],
         }
     }
 
@@ -205,11 +249,15 @@ impl MessageState {
     /// was new (not a duplicate).
     pub fn place_packet(&mut self, idx: u64) -> bool {
         assert!(idx < self.total_packets, "packet index out of range");
-        let (w, b) = ((idx / 64) as usize, idx % 64);
-        if self.received[w] & (1 << b) != 0 {
+        let bit = 1 << (idx % 64);
+        let word = match idx / 64 {
+            0 => &mut self.received_head,
+            w => &mut self.received_tail[w as usize - 1],
+        };
+        if *word & bit != 0 {
             return false;
         }
-        self.received[w] |= 1 << b;
+        *word |= bit;
         self.received_count += 1;
         true
     }
@@ -222,7 +270,7 @@ impl MessageState {
     /// Whether packet `idx` has landed at the receiver.
     pub fn is_received(&self, idx: u64) -> bool {
         assert!(idx < self.total_packets, "packet index out of range");
-        self.received[(idx / 64) as usize] & (1 << (idx % 64)) != 0
+        self.word(idx) & (1 << (idx % 64)) != 0
     }
 
     /// Packets landed so far.
@@ -370,6 +418,29 @@ impl std::iter::Sum for ConnStats {
     }
 }
 
+/// The packet a send cursor at packet `idx` of message `msg` points to;
+/// `None` once the cursor is past the last posted message.
+#[inline]
+fn cursor_packet(messages: &[MessageState], msg: u64, idx: u64, mtu: u64) -> Option<PendingPacket> {
+    let m = messages.get(msg as usize)?;
+    Some(PendingPacket {
+        msg: MsgId(msg),
+        idx,
+        bytes: m.packet_bytes(idx, mtu),
+    })
+}
+
+/// Move a send cursor that points at a packet one packet on, to the next
+/// message's first packet after a message's last.
+#[inline]
+fn cursor_step(messages: &[MessageState], msg: &mut u64, idx: &mut u64) {
+    *idx += 1;
+    if *idx == messages[*msg as usize].total_packets {
+        *msg += 1;
+        *idx = 0;
+    }
+}
+
 /// One RC connection (sender and receiver state in one place — both ends
 /// live in the same simulation).
 #[derive(Debug)]
@@ -380,8 +451,14 @@ pub struct Connection {
     pub src: NicId,
     /// Destination NIC.
     pub dst: NicId,
-    /// Unsent packets, FIFO.
-    pub unsent: VecDeque<PendingPacket>,
+    /// Packets re-queued by [`Connection::replay_unacked`], sent before
+    /// the cursor resumes. Empty except after a QP re-establishment.
+    pub(crate) replay: VecDeque<PendingPacket>,
+    /// Send cursor: the next never-sent packet is packet `cursor_idx` of
+    /// message `cursor_msg`; every earlier message has been sent in full.
+    /// At `cursor_msg == messages.len()` nothing new is queued.
+    cursor_msg: u64,
+    cursor_idx: u64,
     /// In-flight packets by sequence number (deliver, ack and RTO each
     /// look up here once per packet, so this is a direct-mapped table,
     /// not a hash map).
@@ -417,7 +494,9 @@ impl Connection {
             id,
             src,
             dst,
-            unsent: VecDeque::new(),
+            replay: VecDeque::new(),
+            cursor_msg: 0,
+            cursor_idx: 0,
             inflight: InflightTable::default(),
             inflight_bytes: 0,
             messages: Vec::new(),
@@ -432,28 +511,68 @@ impl Connection {
         }
     }
 
-    /// Segment a message of `bytes` into MTU-sized packets and queue them.
+    /// Queue a message of `bytes`, segmented into MTU-sized packets. The
+    /// packets are not materialised: the send cursor reaches them once
+    /// every earlier message has been sent.
     pub fn post_message(&mut self, now: SimTime, bytes: u64, mtu: u64) -> MsgId {
         assert!(bytes > 0, "empty message");
         let id = MsgId(self.next_msg);
         self.next_msg += 1;
         debug_assert_eq!(self.messages.len() as u64, id.0);
-        let total_packets = bytes.div_ceil(mtu);
         self.messages
-            .push(MessageState::new(total_packets, bytes, now));
-        for idx in 0..total_packets {
-            let chunk = if idx == total_packets - 1 {
-                bytes - idx * mtu
-            } else {
-                mtu
-            };
-            self.unsent.push_back(PendingPacket {
-                msg: id,
-                idx,
-                bytes: chunk,
-            });
-        }
+            .push(MessageState::new(bytes.div_ceil(mtu), bytes, now));
         id
+    }
+
+    /// The packet the pump sends next: the replay queue's head, else the
+    /// packet under the cursor. `mtu` must be the one the message was
+    /// posted with.
+    #[inline]
+    pub(crate) fn next_packet(&self, mtu: u64) -> Option<PendingPacket> {
+        if let Some(&pkt) = self.replay.front() {
+            return Some(pkt);
+        }
+        cursor_packet(&self.messages, self.cursor_msg, self.cursor_idx, mtu)
+    }
+
+    /// Consume the packet [`next_packet`](Self::next_packet) returned.
+    #[inline]
+    pub(crate) fn advance(&mut self) {
+        if self.replay.pop_front().is_none() {
+            cursor_step(&self.messages, &mut self.cursor_msg, &mut self.cursor_idx);
+        }
+    }
+
+    /// Whether any packet waits to be sent (replay queue or cursor).
+    #[inline]
+    pub(crate) fn has_pending(&self) -> bool {
+        !self.replay.is_empty() || (self.cursor_msg as usize) < self.messages.len()
+    }
+
+    /// Every packet waiting to be sent, in send order: the replay queue,
+    /// then the packets a copy of the cursor steps over on its way past
+    /// the last posted message (the same steps the pump takes through
+    /// [`next_packet`](Self::next_packet) and [`advance`](Self::advance)).
+    pub fn pending(&self, mtu: u64) -> impl Iterator<Item = PendingPacket> + '_ {
+        let (mut msg, mut idx) = (self.cursor_msg, self.cursor_idx);
+        let fresh = std::iter::from_fn(move || {
+            let pkt = cursor_packet(&self.messages, msg, idx, mtu)?;
+            cursor_step(&self.messages, &mut msg, &mut idx);
+            Some(pkt)
+        });
+        self.replay.iter().copied().chain(fresh)
+    }
+
+    /// Teardown: discard everything queued and in flight. The cursor
+    /// moves past every posted message; whatever never landed comes back
+    /// through [`replay_unacked`](Self::replay_unacked) if the QP is
+    /// re-established.
+    pub(crate) fn drain(&mut self) {
+        self.replay.clear();
+        self.cursor_msg = self.messages.len() as u64;
+        self.cursor_idx = 0;
+        self.inflight.clear();
+        self.inflight_bytes = 0;
     }
 
     /// Post a receive buffer of `bytes` (two-sided verbs, IBTA ordering:
@@ -500,13 +619,15 @@ impl Connection {
 
     /// Whether nothing remains to send or await.
     pub fn is_idle(&self) -> bool {
-        self.unsent.is_empty() && self.inflight.is_empty()
+        !self.has_pending() && self.inflight.is_empty()
     }
 
     /// Rebuild the send queue from the receiver bitmaps after a QP
     /// re-establishment: every packet of every incomplete message that
-    /// has not landed is re-queued, in `(message, index)` order. Returns
-    /// the number of packets queued.
+    /// has not landed is queued for replay, in `(message, index)` order,
+    /// and the cursor moves past them all — including messages posted
+    /// while the connection was down, so each of their packets is sent
+    /// once. Returns the number of packets queued.
     ///
     /// This is the exactly-once replay. Indices already set in the
     /// bitmap are skipped — the receiver keeps its partial state across
@@ -516,7 +637,7 @@ impl Connection {
     /// [`MessageState::place_packet`].
     pub fn replay_unacked(&mut self, mtu: u64) -> u64 {
         debug_assert!(
-            self.unsent.is_empty() && self.inflight.is_empty(),
+            self.replay.is_empty() && self.inflight.is_empty(),
             "replay requires a drained connection"
         );
         let mut queued = 0;
@@ -529,19 +650,16 @@ impl Connection {
                 if m.is_received(idx) {
                     continue;
                 }
-                let chunk = if idx == m.total_packets - 1 {
-                    m.bytes - idx * mtu
-                } else {
-                    mtu
-                };
-                self.unsent.push_back(PendingPacket {
+                self.replay.push_back(PendingPacket {
                     msg: id,
                     idx,
-                    bytes: chunk,
+                    bytes: m.packet_bytes(idx, mtu),
                 });
                 queued += 1;
             }
         }
+        self.cursor_msg = self.messages.len() as u64;
+        self.cursor_idx = 0;
         queued
     }
 }
@@ -560,7 +678,7 @@ mod tests {
         let id = c.post_message(SimTime::ZERO, 10_000, 4096);
         let m = &c.messages[id.0 as usize];
         assert_eq!(m.total_packets, 3);
-        let sizes: Vec<u64> = c.unsent.iter().map(|p| p.bytes).collect();
+        let sizes: Vec<u64> = c.pending(4096).map(|p| p.bytes).collect();
         assert_eq!(sizes, vec![4096, 4096, 1808]);
     }
 
@@ -569,7 +687,7 @@ mod tests {
         let mut c = conn();
         let id = c.post_message(SimTime::ZERO, 8, 4096);
         assert_eq!(c.messages[id.0 as usize].total_packets, 1);
-        assert_eq!(c.unsent[0].bytes, 8);
+        assert_eq!(c.next_packet(4096).map(|p| p.bytes), Some(8));
     }
 
     #[test]
@@ -698,22 +816,97 @@ mod tests {
     fn replay_requeues_exactly_the_missing_indices() {
         let mut c = conn();
         let id = c.post_message(SimTime::ZERO, 10_000, 4096); // 3 packets
-        c.unsent.clear(); // simulate all packets in flight, then drained
+        c.drain(); // simulate all packets in flight, then drained
         c.messages.get_mut(id.0 as usize).unwrap().place_packet(1);
         let queued = c.replay_unacked(4096);
         assert_eq!(queued, 2);
-        let idxs: Vec<u64> = c.unsent.iter().map(|p| p.idx).collect();
+        let idxs: Vec<u64> = c.pending(4096).map(|p| p.idx).collect();
         assert_eq!(idxs, vec![0, 2]);
         // Byte sizes match the original segmentation (tail included).
-        let sizes: Vec<u64> = c.unsent.iter().map(|p| p.bytes).collect();
+        let sizes: Vec<u64> = c.pending(4096).map(|p| p.bytes).collect();
         assert_eq!(sizes, vec![4096, 1808]);
         // A completed message is never replayed.
         let m = c.messages.get_mut(id.0 as usize).unwrap();
         m.place_packet(0);
         m.place_packet(2);
         m.completed_at = Some(SimTime::ZERO);
-        c.unsent.clear();
+        c.replay.clear();
         assert_eq!(c.replay_unacked(4096), 0);
+    }
+
+    #[test]
+    fn cursor_walks_messages_in_post_order() {
+        let mut c = conn();
+        c.post_message(SimTime::ZERO, 5_000, 4096); // 2 packets
+        c.post_message(SimTime::ZERO, 100, 4096); // 1 packet
+        let mut sent = Vec::new();
+        while let Some(p) = c.next_packet(4096) {
+            sent.push((p.msg.0, p.idx, p.bytes));
+            c.advance();
+        }
+        assert_eq!(sent, vec![(0, 0, 4096), (0, 1, 904), (1, 0, 100)]);
+        assert!(!c.has_pending() && c.is_idle());
+        // A message posted after the cursor drained is next in line.
+        c.post_message(SimTime::ZERO, 10, 4096);
+        assert_eq!(
+            c.next_packet(4096).map(|p| (p.msg.0, p.bytes)),
+            Some((2, 10))
+        );
+    }
+
+    #[test]
+    fn replay_covers_messages_posted_while_down_and_skips_them() {
+        let mut c = conn();
+        c.post_message(SimTime::ZERO, 3 * 4096, 4096);
+        c.advance(); // packet 0 sent, then the QP died
+        c.drain();
+        assert!(!c.has_pending(), "teardown discards the queue");
+        c.post_message(SimTime::ZERO, 2 * 4096, 4096); // posted while down
+        assert_eq!(c.replay_unacked(4096), 5);
+        let order: Vec<(u64, u64)> = c.pending(4096).map(|p| (p.msg.0, p.idx)).collect();
+        assert_eq!(order, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]);
+        for _ in 0..5 {
+            c.advance();
+        }
+        assert!(
+            !c.has_pending(),
+            "the cursor moved past the replayed messages"
+        );
+    }
+
+    #[test]
+    fn bitmap_word_boundaries() {
+        for total in [1, 63, 64, 65, 128, 129] {
+            let mut m = MessageState::new(total, total * 4096, SimTime::ZERO);
+            for idx in (0..total).rev() {
+                assert!(!m.is_received(idx));
+                assert!(m.place_packet(idx));
+                assert!(m.is_received(idx));
+                assert!(!m.place_packet(idx));
+            }
+            assert!(m.fully_received());
+        }
+    }
+
+    #[test]
+    fn inflight_table_grows_from_its_minimum() {
+        let mut t = InflightTable::default();
+        assert!(t.slot_hint(9).is_none(), "no slot before the first insert");
+        let pkt = |seq: u64| InflightPacket {
+            msg: MsgId(0),
+            idx: seq,
+            bytes: 1,
+            path: 0,
+            sent_at: SimTime::ZERO,
+            retx: 0,
+        };
+        for seq in 0..100 {
+            t.insert(seq, pkt(seq));
+        }
+        assert_eq!(t.len(), 100);
+        assert!((0..100).all(|s| t.get(s).map(|p| p.idx) == Some(s)));
+        assert!(t.remove(7).is_some() && t.get(7).is_none() && t.len() == 99);
+        assert!(t.slot_hint(9).is_some());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   chain dependent messages (ring AllReduce steps) causally.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cc;
 pub mod conn;

@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 
 use stellar_net::{Delivery, Fabric, Network, NicId};
+use stellar_sim::hint::prefetch;
 use stellar_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use stellar_telemetry::{count, event, span_close, span_open, stage_sample, Entity, Stage, Subsystem};
 
@@ -205,7 +206,7 @@ impl<F: Fabric> App<F> for NoopApp {
     fn on_message_complete(&mut self, _sim: &mut TransportSim<F>, _conn: ConnId, _msg: MsgId) {}
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Data packet landed at the receiver.
     Deliver { conn: ConnId, seq: u64, ecn: bool },
@@ -222,11 +223,39 @@ enum Ev {
     Reconnect { conn: ConnId },
 }
 
+impl Ev {
+    /// The connection whose record handling this event reads, if any.
+    #[inline]
+    fn conn(&self) -> Option<ConnId> {
+        match *self {
+            Ev::Deliver { conn, .. }
+            | Ev::Ack { conn, .. }
+            | Ev::Rto { conn, .. }
+            | Ev::Pace { conn }
+            | Ev::Reconnect { conn } => Some(conn),
+            Ev::AppTimer { .. } => None,
+        }
+    }
+}
+
+/// How far ahead of the event being handled [`TransportSim::run`]
+/// prefetches a connection record. Far enough that the miss has landed
+/// when the event's turn comes, near enough that the line is still in
+/// L1 — and past [`SLOT_LOOKAHEAD`], because finding the slot reads the
+/// record.
+const CONN_LOOKAHEAD: usize = 8;
+/// How far ahead [`TransportSim::run`] prefetches the in-flight slot an
+/// event will look up.
+const SLOT_LOOKAHEAD: usize = 4;
+
 struct ConnRuntime {
     conn: Connection,
     selector: PathSelector,
-    /// One shared CCC, or one per path (§9 ablation).
-    ccs: Vec<CongestionControl>,
+    /// The shared CCC, inline so the window gate reads no extra heap
+    /// block (unused when `per_path_cc` is on).
+    cc: CongestionControl,
+    /// One CCC per path (§9 ablation); empty unless `per_path_cc`.
+    path_ccs: Vec<CongestionControl>,
     ack_delay: SimDuration,
     /// Egress pacing: earliest time the next packet may leave.
     pace_until: SimTime,
@@ -256,6 +285,18 @@ pub struct TransportSim<F: Fabric = Network> {
     /// Reusable buffer for the batched same-timestamp drain in
     /// [`TransportSim::run`] (kept across calls to avoid reallocation).
     batch_buf: Vec<Ev>,
+}
+
+impl ConnRuntime {
+    /// The CCC governing `path`: its own under `per_path_cc`, else the
+    /// shared one.
+    fn cc_for(&mut self, path: u32) -> &mut CongestionControl {
+        if self.path_ccs.is_empty() {
+            &mut self.cc
+        } else {
+            &mut self.path_ccs[path as usize]
+        }
+    }
 }
 
 impl<F: Fabric> TransportSim<F> {
@@ -331,10 +372,10 @@ impl<F: Fabric> TransportSim<F> {
     /// Open an RC connection `src → dst`.
     pub fn add_connection(&mut self, src: NicId, dst: NicId) -> ConnId {
         let id = ConnId(self.conns.len() as u32);
-        let cc_count = if self.config.per_path_cc {
+        let path_ccs = if self.config.per_path_cc {
             self.config.num_paths as usize
         } else {
-            1
+            0
         };
         let ack_delay = self.network.control_rtt_component(dst, src);
         let mut selector = PathSelector::new(
@@ -349,7 +390,8 @@ impl<F: Fabric> TransportSim<F> {
         self.conns.push(ConnRuntime {
             conn: Connection::new(id, src, dst),
             selector,
-            ccs: (0..cc_count)
+            cc: CongestionControl::new(self.config.cc.clone()),
+            path_ccs: (0..path_ccs)
                 .map(|_| CongestionControl::new(self.config.cc.clone()))
                 .collect(),
             ack_delay,
@@ -442,12 +484,6 @@ impl<F: Fabric> TransportSim<F> {
             .iter()
             .filter(|c| c.conn.state == ConnState::Recovering)
             .count()
-    }
-
-    /// Number of connections in the terminal error state (alias of
-    /// [`TransportSim::failed_connections`]).
-    pub fn error_count(&self) -> usize {
-        self.failed_connections()
     }
 
     /// The path selector of a connection (distribution inspection).
@@ -544,9 +580,7 @@ impl<F: Fabric> TransportSim<F> {
         if rt.conn.state != ConnState::Active {
             return;
         }
-        rt.conn.unsent.clear();
-        rt.conn.inflight.clear();
-        rt.conn.inflight_bytes = 0;
+        rt.conn.drain();
         if let Some(policy) = policy {
             if rt.conn.recovery_attempts < policy.max_attempts {
                 let attempt = rt.conn.recovery_attempts;
@@ -594,7 +628,8 @@ impl<F: Fabric> TransportSim<F> {
         let replayed = rt.conn.replay_unacked(mtu);
         rt.conn.stats.recoveries += 1;
         rt.conn.stats.replayed_packets += replayed;
-        for cc in rt.ccs.iter_mut() {
+        rt.cc = CongestionControl::new(self.config.cc.clone());
+        for cc in rt.path_ccs.iter_mut() {
             *cc = CongestionControl::new(self.config.cc.clone());
         }
         rt.pace_until = SimTime::ZERO;
@@ -611,15 +646,6 @@ impl<F: Fabric> TransportSim<F> {
         self.pump(conn_id);
     }
 
-    fn cc_index(&self, conn: ConnId, path: u32) -> usize {
-        if self.config.per_path_cc {
-            let _ = conn;
-            path as usize
-        } else {
-            0
-        }
-    }
-
     /// Pump as many packets as the window allows on `conn`.
     fn pump(&mut self, conn_id: ConnId) {
         let now = self.now();
@@ -633,7 +659,7 @@ impl<F: Fabric> TransportSim<F> {
             if rt.conn.state != ConnState::Active {
                 break;
             }
-            let Some(&pkt) = rt.conn.unsent.front() else {
+            let Some(pkt) = rt.conn.next_packet(mtu) else {
                 break;
             };
             // Egress pacing gate: wait for the rate limiter.
@@ -646,14 +672,14 @@ impl<F: Fabric> TransportSim<F> {
                 break;
             }
             // Shared-CCC window gate.
-            if !per_path && !rt.ccs[0].can_send(rt.conn.inflight_bytes, pkt.bytes) {
+            if !per_path && !rt.cc.can_send(rt.conn.inflight_bytes, pkt.bytes) {
                 break;
             }
             // Path choice, gated per path when each path has its own CCC.
             let path = {
                 let ConnRuntime {
                     selector,
-                    ccs,
+                    path_ccs,
                     inflight_scratch,
                     ..
                 } = rt;
@@ -670,7 +696,7 @@ impl<F: Fabric> TransportSim<F> {
                     if !per_path {
                         return true;
                     }
-                    ccs[p as usize].can_send(inflight_pkts[p as usize] * mtu, mtu)
+                    path_ccs[p as usize].can_send(inflight_pkts[p as usize] * mtu, mtu)
                 };
                 match selector.select_at(now, None, &allowed) {
                     Some(p) => p,
@@ -678,7 +704,7 @@ impl<F: Fabric> TransportSim<F> {
                 }
             };
 
-            rt.conn.unsent.pop_front();
+            rt.conn.advance();
             let seq = rt.conn.next_seq();
             rt.conn.inflight.insert(
                 seq,
@@ -761,7 +787,6 @@ impl<F: Fabric> TransportSim<F> {
 
     fn handle_ack(&mut self, conn_id: ConnId, seq: u64, ecn: bool) {
         let now = self.now();
-        
         let (path, rtt, bytes);
         {
             let rt = &mut self.conns[conn_id.0 as usize];
@@ -785,9 +810,8 @@ impl<F: Fabric> TransportSim<F> {
                 m.acked_packets += 1;
             }
             rt.selector.on_ack(path, rtt, ecn);
+            rt.cc_for(path).on_ack(now, bytes, rtt, ecn);
         }
-        let cc_idx = self.cc_index(conn_id, path);
-        self.conns[conn_id.0 as usize].ccs[cc_idx].on_ack(now, bytes, rtt, ecn);
         self.pump(conn_id);
     }
 
@@ -854,13 +878,14 @@ impl<F: Fabric> TransportSim<F> {
                 });
             }
         }
-        let cc_idx = self.cc_index(conn_id, old_path);
         let share = if self.config.per_path_cc {
             1.0
         } else {
             1.0 / self.config.num_paths as f64
         };
-        self.conns[conn_id.0 as usize].ccs[cc_idx].on_rto(share);
+        self.conns[conn_id.0 as usize]
+            .cc_for(old_path)
+            .on_rto(share);
 
         let delivery = self
             .network
@@ -896,6 +921,10 @@ impl<F: Fabric> TransportSim<F> {
         // schedule new events at the drained timestamp (zero-latency hops)
         // produce a fresh batch on the next iteration, with higher FIFO
         // seqs — exactly the order per-event pops would have delivered.
+        //
+        // Within a batch the events are handled strictly in order; while
+        // event i runs, the records events i + SLOT_LOOKAHEAD and
+        // i + CONN_LOOKAHEAD will read are prefetched (DESIGN.md §14).
         let mut batch = std::mem::take(&mut self.batch_buf);
         loop {
             match self.queue.peek_time() {
@@ -906,8 +935,9 @@ impl<F: Fabric> TransportSim<F> {
             self.queue
                 .pop_batch(&mut batch)
                 .expect("peeked event exists");
-            for ev in batch.drain(..) {
-                match ev {
+            for i in 0..batch.len() {
+                self.prefetch_ahead(&batch, i);
+                match batch[i] {
                     Ev::Deliver { conn, seq, ecn } => self.handle_deliver(conn, seq, ecn),
                     Ev::Ack { conn, seq, ecn } => self.handle_ack(conn, seq, ecn),
                     Ev::Rto { conn, seq, epoch } => self.handle_rto(conn, seq, epoch),
@@ -932,11 +962,40 @@ impl<F: Fabric> TransportSim<F> {
                 }
             }
         }
+        batch.clear();
         self.batch_buf = batch;
         // Returning from `run` is a quiesce point: nothing is mid-event,
         // so every cross-layer ledger must balance.
         if stellar_check::enabled() {
             self.check_invariants(self.now());
+        }
+    }
+
+    /// Prefetch what the events ahead of `batch[i]` will read: the
+    /// connection record of the event `CONN_LOOKAHEAD` ahead, and the
+    /// in-flight slot of the one `SLOT_LOOKAHEAD` ahead (whose record was
+    /// prefetched `CONN_LOOKAHEAD - SLOT_LOOKAHEAD` events ago). Reads
+    /// nothing the handlers depend on.
+    #[inline(always)]
+    fn prefetch_ahead(&self, batch: &[Ev], i: usize) {
+        if let Some(conn) = batch.get(i + CONN_LOOKAHEAD).and_then(Ev::conn) {
+            if let Some(rt) = self.conns.get(conn.0 as usize) {
+                prefetch(rt);
+            }
+        }
+        if let Some(
+            &Ev::Deliver { conn, seq, .. }
+            | &Ev::Ack { conn, seq, .. }
+            | &Ev::Rto { conn, seq, .. },
+        ) = batch.get(i + SLOT_LOOKAHEAD)
+        {
+            if let Some(slot) = self
+                .conns
+                .get(conn.0 as usize)
+                .and_then(|rt| rt.conn.inflight.slot_hint(seq))
+            {
+                prefetch(slot);
+            }
         }
     }
 
@@ -1022,7 +1081,7 @@ impl<F: Fabric> TransportSim<F> {
                 // a drained queue with a Recovering connection means the
                 // reconnect was lost).
                 if drained {
-                    let at_rest = conn.unsent.is_empty()
+                    let at_rest = !conn.has_pending()
                         && conn.inflight.is_empty()
                         && conn.state != ConnState::Recovering
                         && (conn.state == ConnState::Active || conn.inflight_bytes == 0);
@@ -1030,7 +1089,7 @@ impl<F: Fabric> TransportSim<F> {
                         format!(
                             "conn {id}: event queue drained but work remains \
                              ({} unsent, {} in flight, state {:?})",
-                            conn.unsent.len(),
+                            conn.pending(self.config.mtu).count(),
                             conn.inflight.len(),
                             conn.state
                         )
@@ -1478,7 +1537,7 @@ mod tests {
         let mut app = Watch { errors: Vec::new() };
         sim.run(&mut app, FOREVER);
         assert_eq!(sim.conn_state(conn), ConnState::Error);
-        assert_eq!(sim.error_count(), 1);
+        assert_eq!(sim.failed_connections(), 1);
         assert_eq!(app.errors.len(), 1);
         let (c, e) = app.errors[0];
         assert_eq!(c, conn);
@@ -1760,6 +1819,54 @@ mod tests {
                 "downtime {:?} below the reconnect delay",
                 app.min_downtime
             );
+            assert!(sim.all_idle());
+        });
+    }
+
+    /// A message posted while its connection is down — between a device
+    /// churn and the reconnect — is sent exactly once: the replay covers
+    /// it and the send cursor moves past it, so nothing queues it twice.
+    #[test]
+    fn message_posted_while_recovering_is_sent_once() {
+        stellar_check::strict(|| {
+            let topo = ClosTopology::build(ClosConfig {
+                segments: 2,
+                hosts_per_segment: 4,
+                rails: 1,
+                planes: 2,
+                aggs_per_plane: 8,
+            });
+            let rng = SimRng::from_seed(10);
+            let network = Network::new(topo, NetworkConfig::default(), rng.fork("net"));
+            let mut sim = TransportSim::new(
+                network,
+                TransportConfig {
+                    recovery: Some(RecoveryPolicy::default()),
+                    ..TransportConfig::default()
+                },
+                rng.fork("t"),
+            );
+            let src = sim.network().topology().nic(0, 0);
+            let dst = sim.network().topology().nic(4, 0);
+            let conn = sim.add_connection(src, dst);
+            sim.device_churn(conn);
+            assert_eq!(sim.conn_state(conn), ConnState::Recovering);
+            let msg = sim.post_message(conn, 8 * 4096);
+            assert_eq!(
+                sim.conn_stats(conn).sent_packets,
+                0,
+                "a down QP sends nothing"
+            );
+            sim.run(&mut NoopApp, FOREVER);
+
+            assert!(sim.message_completed_at(conn, msg).is_some());
+            assert_eq!(sim.conn_state(conn), ConnState::Active);
+            let st = sim.conn_stats(conn);
+            assert_eq!(st.recoveries, 1);
+            assert_eq!(st.replayed_packets, 8);
+            assert_eq!(st.sent_packets, 8, "each packet sent once");
+            assert_eq!(st.delivered_packets, 8);
+            assert_eq!(st.acks, 8);
             assert!(sim.all_idle());
         });
     }

@@ -53,11 +53,11 @@ fn segmentation_conserves_bytes() {
         let mtu = 1u64 << mtu_pow;
         let mut c = Connection::new(ConnId(0), stellar_net::NicId(0), stellar_net::NicId(1));
         c.post_message(SimTime::ZERO, bytes, mtu);
-        let total: u64 = c.unsent.iter().map(|p| p.bytes).sum();
+        let total: u64 = c.pending(mtu).map(|p| p.bytes).sum();
         assert_eq!(total, bytes);
-        assert!(c.unsent.iter().all(|p| p.bytes <= mtu && p.bytes > 0));
+        assert!(c.pending(mtu).all(|p| p.bytes <= mtu && p.bytes > 0));
         // Indices are 0..n contiguous.
-        for (i, p) in c.unsent.iter().enumerate() {
+        for (i, p) in c.pending(mtu).enumerate() {
             assert_eq!(p.idx, i as u64);
         }
     });
@@ -182,7 +182,7 @@ fn transport_under_faults_is_deterministic() {
             sim.network_mut().install_fault_plan(plan);
             sim.post_message(conn, bytes);
             sim.run(&mut Quiet, SimTime::from_nanos(u64::MAX / 2));
-            (sim.total_stats(), sim.error_count())
+            (sim.total_stats(), sim.failed_connections())
         };
         assert_eq!(run(), run());
     });

@@ -19,6 +19,7 @@
 //!   strategy (full pin vs. PVDMA).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod hypervisor;
 pub mod pvdma;

@@ -23,6 +23,7 @@
 //!   (Figs. 15 and 16).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod allreduce;
 pub mod chaos;

@@ -1,4 +1,7 @@
 //! Facade crate re-exporting the whole Stellar reproduction workspace.
+
+#![forbid(unsafe_code)]
+
 pub use stellar_check as check;
 pub use stellar_cluster as cluster;
 pub use stellar_core as core;
